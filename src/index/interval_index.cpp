@@ -71,62 +71,58 @@ std::size_t IntervalIndex::compaction_threshold() const noexcept {
 void IntervalIndex::grow_bitmaps() {
   const std::size_t new_words =
       words_ == 0 ? simd::kBlockWords : words_ * 2;
-  // Mask rows default to all-ones in BOTH lanes (free and wide slots must
-  // neither block the sweep nor void certainty); occupancy defaults to 0.
-  simd::AlignedVector<Word> mask_bits(m_ * config_.bucket_count * 2 * new_words,
-                                      ~Word{0});
-  simd::AlignedVector<Word> occupied_bits(2 * new_words, 0);
-  for (std::size_t row = 0; row < m_ * config_.bucket_count; ++row) {
-    std::copy_n(
-        mask_bits_.begin() + static_cast<std::ptrdiff_t>(row * 2 * words_),
-        2 * words_,
-        mask_bits.begin() + static_cast<std::ptrdiff_t>(row * 2 * new_words));
-  }
-  std::copy_n(occupied_bits_.begin(), 2 * words_, occupied_bits.begin());
-  mask_bits_ = std::move(mask_bits);
-  occupied_bits_ = std::move(occupied_bits);
+  // Every row (mask, wide, occupancy) defaults to all-zero: new slots are
+  // free, and a free slot carries no bits.
+  const auto regrow = [&](simd::AlignedVector<Word>& bits, std::size_t rows) {
+    simd::AlignedVector<Word> grown(rows * 2 * new_words, 0);
+    for (std::size_t row = 0; row < rows; ++row) {
+      std::copy_n(
+          bits.begin() + static_cast<std::ptrdiff_t>(row * 2 * words_),
+          2 * words_,
+          grown.begin() + static_cast<std::ptrdiff_t>(row * 2 * new_words));
+    }
+    bits = std::move(grown);
+  };
+  regrow(mask_bits_, m_ * config_.bucket_count);
+  regrow(wide_bits_, m_);
+  regrow(occupied_bits_, 1);
   words_ = new_words;
   slot_capacity_ = words_ * kWordBits;
 }
 
 void IntervalIndex::write_mask_bits(std::size_t attribute, std::uint32_t slot,
-                                    const Interval& iv, bool erase_restore) {
+                                    const Interval& iv, bool set) {
   const std::size_t word = 2 * (slot / kWordBits);
   const Word mask = Word{1} << (slot % kWordBits);
   const auto buckets = static_cast<std::ptrdiff_t>(config_.bucket_count);
-  std::ptrdiff_t first = 0, last = buckets - 1;      // possible span
-  std::ptrdiff_t cfirst = 0, clast = buckets - 1;    // certain span
-  if (!erase_restore) {
-    first = static_cast<std::ptrdiff_t>(bucket_of(iv.lo));
-    last = static_cast<std::ptrdiff_t>(bucket_of(iv.hi));
-    // Exact certain span via bucket monotonicity (header file comment):
-    // strictly between the endpoint buckets, saturating past the edges
-    // for infinite endpoints. bucket(lo) < b < bucket(hi) forces
-    // lo < v < hi for every real v in bucket b — pure integer compares,
-    // no float boundary arithmetic to get subtly wrong. A NaN or empty
-    // interval voids every certainty claim (its possible bits already
-    // come from the clamped endpoint buckets; verification rejects).
-    const std::ptrdiff_t bl = iv.lo == -kInf ? -1 : first;
-    const std::ptrdiff_t bh = iv.hi == kInf ? buckets : last;
-    cfirst = bl + 1;
-    clast = bh - 1;
-    if (!(iv.lo <= iv.hi)) {
-      cfirst = 1;
-      clast = 0;
-    }
-  }
-  for (std::ptrdiff_t bucket = 0; bucket < buckets; ++bucket) {
-    Word* row = pair_row(attribute, static_cast<std::size_t>(bucket)) + word;
-    if (bucket >= first && bucket <= last) {
-      row[0] |= mask;
-    } else {
+  // Possible span: the clamped endpoint buckets (empty when lo > hi).
+  const auto first = static_cast<std::ptrdiff_t>(bucket_of(iv.lo));
+  const auto last = static_cast<std::ptrdiff_t>(bucket_of(iv.hi));
+  if (!set) {
+    for (std::ptrdiff_t bucket = first; bucket <= last; ++bucket) {
+      Word* row = pair_row(attribute, static_cast<std::size_t>(bucket)) + word;
       row[0] &= ~mask;
-    }
-    if (bucket >= cfirst && bucket <= clast) {
-      row[1] |= mask;
-    } else {
       row[1] &= ~mask;
     }
+    return;
+  }
+  // Exact certain span via bucket monotonicity (header file comment):
+  // strictly between the endpoint buckets, saturating past the edges for
+  // infinite endpoints, and always inside the possible span. bucket(lo) <
+  // b < bucket(hi) forces lo < v < hi for every real v in bucket b — pure
+  // integer compares, no float boundary arithmetic to get subtly wrong. A
+  // NaN or empty interval voids every certainty claim (its possible bits
+  // already come from the clamped endpoint buckets; verification rejects).
+  std::ptrdiff_t cfirst = (iv.lo == -kInf ? -1 : first) + 1;
+  std::ptrdiff_t clast = (iv.hi == kInf ? buckets : last) - 1;
+  if (!(iv.lo <= iv.hi)) {
+    cfirst = 1;
+    clast = 0;
+  }
+  for (std::ptrdiff_t bucket = first; bucket <= last; ++bucket) {
+    Word* row = pair_row(attribute, static_cast<std::size_t>(bucket)) + word;
+    row[0] |= mask;
+    if (bucket >= cfirst && bucket <= clast) row[1] |= mask;
   }
 }
 
@@ -147,11 +143,11 @@ void IntervalIndex::write_verify_row(std::uint32_t slot,
   }
 }
 
-void IntervalIndex::restore_mask_bits(std::uint32_t slot) {
+void IntervalIndex::clear_mask_bits(std::uint32_t slot) {
   const Interval* slot_ranges = ranges_.data() + slot * m_;
   for (std::size_t j = 0; j < m_; ++j) {
-    if (is_wide(slot_ranges[j])) continue;  // never written: still all-ones
-    write_mask_bits(j, slot, slot_ranges[j], /*erase_restore=*/true);
+    if (is_wide(slot_ranges[j])) continue;  // never written: still zero
+    write_mask_bits(j, slot, slot_ranges[j], /*set=*/false);
   }
 }
 
@@ -207,15 +203,22 @@ void IntervalIndex::insert(const Subscription& sub) {
   std::uint32_t required = 0;
   std::uint64_t semantic_mask = 0;
   std::uint64_t wide_mask = 0;
+  const std::size_t slot_word = 2 * (slot / kWordBits);
+  const Word slot_bit = Word{1} << (slot % kWordBits);
   for (std::size_t j = 0; j < m_; ++j) {
     const Interval& iv = sub.range(j);
     ranges_[slot * m_ + j] = iv;
     const std::uint64_t bit = j < 64 ? std::uint64_t{1} << j : 0;
     if (iv != Interval::everything()) semantic_mask |= bit;
+    Word* wide = wide_bits_.data() + j * 2 * words_ + slot_word;
     if (is_wide(iv)) {
+      wide[0] |= slot_bit;
+      wide[1] |= slot_bit;
       if (iv != Interval::everything()) wide_mask |= bit;
       continue;
     }
+    wide[0] &= ~slot_bit;
+    wide[1] &= ~slot_bit;
     ++required;
     ++selective_count_[j];
     if (!config_.amortize_mutations) {
@@ -242,7 +245,7 @@ void IntervalIndex::insert(const Subscription& sub) {
       append(delta_lows_[j], iv.lo);
       append(delta_highs_[j], iv.hi);
     }
-    write_mask_bits(j, slot, iv, /*erase_restore=*/false);
+    write_mask_bits(j, slot, iv, /*set=*/true);
   }
   required_[slot] = required;
   semantic_attrs_[slot] = semantic_mask;
@@ -257,10 +260,8 @@ void IntervalIndex::insert(const Subscription& sub) {
     delta_pos_[slot] = static_cast<std::uint32_t>(delta_slots_.size());
     delta_slots_.push_back(slot);
   }
-  const std::size_t occ_word = 2 * (slot / kWordBits);
-  const Word occ_mask = Word{1} << (slot % kWordBits);
-  occupied_bits_[occ_word] |= occ_mask;
-  occupied_bits_[occ_word + 1] |= occ_mask;
+  occupied_bits_[slot_word] |= slot_bit;
+  occupied_bits_[slot_word + 1] |= slot_bit;
   ++size_;
   maybe_compact();
 }
@@ -295,7 +296,7 @@ bool IntervalIndex::erase(SubscriptionId id) {
   }
 
   if (required_[slot] == 0) {
-    // Unselective slots have no endpoints and untouched (all-ones) masks:
+    // Unselective slots have no endpoints and no mask bits:
     // release immediately in O(1) via the position index.
     const std::uint32_t pos = unselective_pos_[slot];
     const std::uint32_t moved = unselective_slots_.back();
@@ -305,22 +306,24 @@ bool IntervalIndex::erase(SubscriptionId id) {
     unselective_pos_[slot] = kNoPos;
     release_slot(slot);
   } else if (delta_pos_[slot] != kNoPos) {
-    // Delta-tier slot: no merged endpoints exist yet; restore its mask
-    // rows and release outright. Its delta-run entries die with the
-    // generation bump in release_slot — no log surgery.
+    // Delta-tier slot: no merged endpoints exist yet; clear its mask span
+    // and release outright. Its delta-run entries die with the generation
+    // bump in release_slot — no log surgery — but stay in the logs until
+    // the next compaction, so they count as a pending mutation.
     const std::uint32_t pos = delta_pos_[slot];
     const std::uint32_t moved = delta_slots_.back();
     delta_slots_[pos] = moved;
     delta_pos_[moved] = pos;
     delta_slots_.pop_back();
     delta_pos_[slot] = kNoPos;
-    restore_mask_bits(slot);
+    ++erased_delta_count_;
+    clear_mask_bits(slot);
     release_slot(slot);
   } else if (config_.amortize_mutations) {
     // Tombstoned lazy erase: the occupancy bit already hides the slot from
     // stab; its stale endpoints are skipped at emission (ids_ == kInvalid)
     // and reclaimed by the next compaction. ranges_/required_ survive
-    // until then (compaction needs them to restore the mask rows).
+    // until then (compaction needs them to clear the mask span).
     ids_[slot] = core::kInvalidSubscriptionId;
     dead_slots_.push_back(slot);
   } else {
@@ -330,7 +333,7 @@ bool IntervalIndex::erase(SubscriptionId id) {
       if (is_wide(iv)) continue;
       remove_endpoint(lows_[j], iv.lo, slot);
       remove_endpoint(highs_[j], iv.hi, slot);
-      write_mask_bits(j, slot, iv, /*erase_restore=*/true);
+      write_mask_bits(j, slot, iv, /*set=*/false);
     }
     release_slot(slot);
   }
@@ -381,10 +384,11 @@ void IntervalIndex::compact() {
   }
 
   for (const std::uint32_t slot : dead_slots_) {
-    restore_mask_bits(slot);
+    clear_mask_bits(slot);
     release_slot(slot);
   }
   dead_slots_.clear();
+  erased_delta_count_ = 0;
   for (const std::uint32_t slot : delta_slots_) delta_pos_[slot] = kNoPos;
   delta_slots_.clear();
 }
@@ -413,9 +417,11 @@ void IntervalIndex::clear() {
   delta_slots_.clear();
   delta_pos_.clear();
   dead_slots_.clear();
+  erased_delta_count_ = 0;
   counts_.clear();
   epochs_.clear();
   mask_bits_.clear();
+  wide_bits_.clear();
   occupied_bits_.clear();
   words_ = 0;
   slot_capacity_ = 0;
@@ -535,14 +541,22 @@ void IntervalIndex::stab_simd(std::span<const Value> point,
     const bool trusted = v >= config_.domain_lo && v <= config_.domain_hi;
     if (selective_count_[j] == 0) {
       // Nobody live constrains j selectively: every live slot is wide on
-      // it, so the possible lane is all-ones and the sweep skips the AND.
-      // The implicit all-ones certain lane is only valid in-domain.
+      // it, so row | wide is all-ones and the sweep skips the AND. The
+      // implicit all-ones certain lane is only valid in-domain.
       if (!trusted) zero_certain = true;
       continue;
     }
     const Word* row = pair_row(j, bucket_of(v));
-    const bool alive = trusted ? simd::and_into(acc, row, paired)
-                               : simd::and_into_even(acc, row, paired);
+    bool alive;
+    if (has_wide(j)) {
+      // Wide slots pass on both lanes; an untrusted certain lane is voided
+      // at the end instead (zeroing it now or later leaves the same acc).
+      alive = simd::and_or_into(acc, row, wide_row(j), paired);
+      if (!trusted) zero_certain = true;
+    } else {
+      alive = trusted ? simd::and_into(acc, row, paired)
+                      : simd::and_into_even(acc, row, paired);
+    }
     if (!alive) {
       last_query_cost_ = 0;
       return;
@@ -598,19 +612,24 @@ void IntervalIndex::stab(std::span<const Value> point,
   const std::size_t words = words_in_use();
 
   // Scalar ablation path: the pre-vectorization fused word sweep, reading
-  // the possible lane of the paired rows. Delta-tier slots participate
-  // like main-tier ones (their mask bits are written at insert time);
-  // tombstoned slots are excluded by the occupancy row. Attributes nobody
-  // (live) constrains selectively are skipped outright: their rows can
-  // carry stale zero-bits of dead slots, but ANDing them would only
-  // re-clear already-dead candidates.
+  // the possible lane of the paired rows (ORed with the wide row when
+  // some live slot is wide on the attribute). Delta-tier slots
+  // participate like main-tier ones (their mask bits are written at
+  // insert time); tombstoned slots are excluded by the occupancy row.
+  // Attributes nobody (live) constrains selectively are skipped outright:
+  // every live slot passes them.
   if (acc_scratch_.size() < 2 * words_) acc_scratch_.resize(2 * words_);
   Word* acc = acc_scratch_.data();
   for (std::size_t w = 0; w < words; ++w) acc[w] = occupied_bits_[2 * w];
   for (std::size_t j = 0; j < m_; ++j) {
     if (selective_count_[j] == 0) continue;
     const Word* row = pair_row(j, bucket_of(point[j]));
-    for (std::size_t w = 0; w < words; ++w) acc[w] &= row[2 * w];
+    if (has_wide(j)) {
+      const Word* wide = wide_row(j);
+      for (std::size_t w = 0; w < words; ++w) acc[w] &= row[2 * w] | wide[2 * w];
+    } else {
+      for (std::size_t w = 0; w < words; ++w) acc[w] &= row[2 * w];
+    }
   }
 
   // Exact verification of the surviving bucket-granularity superset.
@@ -681,6 +700,17 @@ void IntervalIndex::box_intersect_simd(const Subscription& box,
     if (last != first) {
       const Word* row = pair_row(j, last);
       for (std::size_t w = 0; w < wp; ++w) or_possible[w] |= row[2 * w];
+    }
+    if (has_wide(j)) {
+      // A wide slot overlaps every bucket of the span: possible always,
+      // certain when the span has an interior bucket — exactly what an
+      // all-ones bucket row would contribute.
+      const Word* wide = wide_row(j);
+      const bool interior = last >= first + 2;
+      for (std::size_t w = 0; w < wp; ++w) {
+        or_possible[w] |= wide[2 * w];
+        if (interior) or_certain[w] |= wide[2 * w];
+      }
     }
     Word any = 0;
     for (std::size_t w = 0; w < wp; ++w) {

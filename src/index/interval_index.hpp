@@ -46,10 +46,8 @@
 //    per slot group (even word then odd word, always in the same cache
 //    line, so mutations pay for one line whether they write one lane or
 //    both):
-//      * POSSIBLE lane (even words): bit 1 iff the slot could match a
-//        point in bucket b on attribute j — its selective interval
-//        overlaps the bucket, or the attribute is wide for it (free slots
-//        also stay 1; liveness is a separate occupancy bitmap);
+//      * POSSIBLE lane (even words): bit 1 iff the slot's selective
+//        interval on attribute j overlaps bucket b;
 //      * CERTAIN lane (odd words): bit 1 iff the slot's interval FULLY
 //        COVERS bucket b — every point of the bucket matches attribute j,
 //        so a slot whose certain bit survives the sweep on every
@@ -59,22 +57,30 @@
 //        bh = bucket(hi) (B when hi = +inf), the certain span is
 //        (bl, bh) exclusive — bucket(lo) < b < bucket(hi) forces
 //        lo < v < hi for every real v in bucket b.
+//    Rows are ZERO by default: free slots and attributes a slot is wide
+//    on carry no row bits, so a slot's bits live only in the buckets its
+//    interval spans (the certain span lies inside the possible span).
+//    Instead, one paired WIDE row per attribute, wide[j] (both lanes
+//    equal), has bit 1 iff the slot is wide on j — it stands in for the
+//    all-ones bucket row such a slot would otherwise need.
 //    A point probe is one fused word-parallel sweep
-//        acc[w] &= mask[j][bucket(v_j)][w]
+//        acc[w] &= mask[j][bucket(v_j)][w] | wide[j][w]
 //    over both lanes of the attributes somebody constrains — a SIMD
 //    kernel (util/simd.hpp) with block-level early exit on an all-zero
 //    accumulator — leaving the possible-lane superset partitioned into
 //    certain survivors (emitted directly; with ~97% of candidates being
 //    true matches under realistic workloads this removes the dominant
 //    verification cost) and an uncertain residue (possible & ~certain,
-//    verified exactly against the packed verify records below). stab runs
-//    here. Values outside the configured domain clamp to the edge
-//    buckets, and the certain lane of an attribute is only TRUSTED when
-//    the probe value is inside [domain_lo, domain_hi] (wide slots carry
-//    all-ones rows whose certain bits are only valid for in-domain
-//    points, and NaN probes must fail every comparison); untrusted
-//    attributes zero the certainty lane and degrade to verify-everything.
-//    Only pruning power degrades, never correctness.
+//    verified exactly against the packed verify records below). The wide
+//    row is only read when some live slot is wide on j (selective_count_
+//    below size_), so an all-selective index sweeps exactly one row per
+//    attribute. stab runs here. Values outside the configured domain
+//    clamp to the edge buckets, and the certain lane of an attribute is
+//    only TRUSTED when the probe value is inside [domain_lo, domain_hi]
+//    (a wide slot's certain bit is only valid for in-domain points, and
+//    NaN probes must fail every comparison); untrusted attributes zero
+//    the certainty lane and degrade to verify-everything. Only pruning
+//    power degrades, never correctness.
 //
 // HOT-PATH SLOT DATA (structure-of-arrays, SIMD-friendly). Candidate
 // emission is cache-miss-bound, so the per-slot state it touches lives in
@@ -94,34 +100,40 @@
 // 100k+ actives. Mutations are therefore tiered:
 //
 //   * insert appends the slot to a small DELTA TIER: its candidate-mask
-//     bits and occupancy bit are written immediately (O(bucket_count) per
-//     selective attribute — so stab needs no special delta handling and
-//     keeps full bitmap pruning), but its endpoints are NOT merged into
-//     the sorted arrays yet. Instead they are appended to per-attribute
-//     DELTA RUNS — generation-tagged endpoint logs sorted in small
-//     cache-resident blocks as they fill — so the next compaction
-//     consumes a linear, mostly-sorted stream instead of gathering
-//     scattered ranges_ rows. box_intersect's counting path flat-scans
-//     the delta tier after the counting pass (the delta is bounded by the
-//     compaction threshold); the SIMD mask path needs no delta special
-//     case at all (mask bits are already live).
+//     bits, wide bits and occupancy bit are written immediately (O(span)
+//     per selective attribute — the buckets its interval overlaps, not
+//     all B — so stab needs no special delta handling and keeps full
+//     bitmap pruning), but its endpoints are NOT merged into the sorted
+//     arrays yet. Instead they are appended to per-attribute DELTA RUNS —
+//     generation-tagged endpoint logs sorted in small cache-resident
+//     blocks as they fill — so the next compaction consumes a linear,
+//     mostly-sorted stream instead of gathering scattered ranges_ rows.
+//     box_intersect's counting path flat-scans the delta tier after the
+//     counting pass (the delta is bounded by the compaction threshold);
+//     the SIMD mask path needs no delta special case at all (mask bits
+//     are already live).
 //   * erase of a main-tier slot TOMBSTONES it: the occupancy bit is
 //     cleared (stab exact immediately) and the slot is marked dead; its
 //     stale endpoints stay in the sorted arrays until the next compaction
 //     and are ignored at emission via an O(1) liveness check. Erase of a
-//     delta-tier slot restores its mask bits and frees it outright.
-//   * when delta + tombstones exceed the compaction threshold (see
-//     IndexConfig), COMPACTION merges the delta endpoints into the sorted
-//     arrays (one filter + sorted merge per attribute, no per-element
-//     memmove) and releases tombstoned slots — O(k + d log d) for d
-//     pending mutations, so mutation cost is amortized O(log k) while
-//     both query paths stay decision-for-decision identical to the eager
-//     index (property-tested over churn traces in
-//     tests/tiered_index_test.cpp).
+//     delta-tier slot clears its mask bits over the same span and frees
+//     it outright; its stale delta-run entries still count as a pending
+//     mutation, so a stream of short-lived inserts cannot grow the logs
+//     without ever compacting.
+//   * when pending mutations (delta inserts, erased delta inserts and
+//     tombstones) reach the compaction threshold (see IndexConfig),
+//     COMPACTION merges the delta endpoints into the sorted arrays (one
+//     filter + sorted merge per attribute, no per-element memmove),
+//     trims the delta-run logs and releases tombstoned slots (clearing
+//     their mask spans) — O(k + d log d) for d pending mutations, so
+//     mutation cost is amortized O(log k) while both query paths stay
+//     decision-for-decision identical to the eager index (property-tested
+//     over churn traces in tests/tiered_index_test.cpp).
 //
 // IndexConfig::amortize_mutations = false restores the eager pre-tier
 // behavior (sorted-insert + immediate endpoint removal) — kept as the
-// measured ablation baseline for bench/perf_gate.
+// measured ablation baseline for bench/perf_gate. Its mask writes are the
+// same span-local ones.
 //
 // Both query paths are exact (closed-interval semantics identical to
 // Subscription::contains_point / Subscription::intersects). Queries mutate
@@ -154,11 +166,11 @@ struct IndexConfig {
   /// the eager pre-tier path: O(k) sorted-insert / erase per mutation,
   /// kept as the perf-gate ablation baseline.
   bool amortize_mutations = true;
-  /// Compaction fires when pending mutations (delta inserts + tombstones)
-  /// exceed max(compaction_min, compaction_slack * live size). The
-  /// threshold bounds both the box_intersect delta scan and the stale
-  /// endpoints a query may skip, so it trades mutation amortization
-  /// against query-time overhead.
+  /// Compaction fires when pending mutations (delta inserts, erased delta
+  /// inserts and tombstones) reach max(compaction_min, compaction_slack *
+  /// live size). The threshold bounds both the box_intersect delta scan
+  /// and the stale endpoints a query may skip, so it trades mutation
+  /// amortization against query-time overhead.
   std::size_t compaction_min = 256;
   double compaction_slack = 0.02;
 
@@ -249,6 +261,15 @@ class IntervalIndex {
   [[nodiscard]] std::size_t tombstone_count() const noexcept {
     return dead_slots_.size();
   }
+  /// Entries in the delta-run logs, live or stale, over all attributes —
+  /// at most 2 * attribute_count() per insert since the last compaction.
+  [[nodiscard]] std::size_t delta_log_size() const noexcept {
+    std::size_t total = 0;
+    for (std::size_t j = 0; j < m_; ++j) {
+      total += delta_lows_[j].size() + delta_highs_[j].size();
+    }
+    return total;
+  }
   /// Compactions performed so far (threshold-triggered + forced).
   [[nodiscard]] std::uint64_t compactions() const noexcept {
     return compactions_;
@@ -337,6 +358,9 @@ class IntervalIndex {
   std::vector<std::uint32_t> delta_slots_;
   std::vector<std::uint32_t> delta_pos_;
   std::vector<std::uint32_t> dead_slots_;
+  /// Delta-tier slots erased since the last compaction: their delta-run
+  /// entries stay in the logs until compaction filters them out.
+  std::size_t erased_delta_count_ = 0;
   std::uint64_t compactions_ = 0;
   /// Per-attribute delta-run logs (pending low/high endpoints of delta-
   /// tier slots, block-sorted as they fill; see file comment).
@@ -345,14 +369,17 @@ class IntervalIndex {
 
   /// Candidate-mask rows, m_ * bucket_count of them, 2 * words_ words
   /// each in the paired possible/certain lane layout (even word =
-  /// possible, odd word = certain; see file comment); free and
-  /// wide/unconstrained slots carry 1-bits in BOTH lanes. The occupancy
-  /// row is paired the same way (both lanes identical) so the stab
-  /// accumulator initializes with one aligned copy. 32-byte aligned,
-  /// words_ always a multiple of simd::kBlockWords.
+  /// possible, odd word = certain; see file comment); zero outside a
+  /// slot's bucket span, so free slots and wide attributes carry no bits.
+  /// wide_bits_ holds m_ more rows (bit 1 iff the slot is wide on j; set
+  /// or cleared at insert, so a free slot's bit is stale until reuse and
+  /// only the occupancy row hides it), paired like the occupancy row with
+  /// both lanes identical so the sweep kernels read them like any mask
+  /// row. 32-byte aligned, words_ always a multiple of simd::kBlockWords.
   std::size_t words_ = 0;          ///< words per bitmap LANE
   std::size_t slot_capacity_ = 0;  ///< slots representable, words_ * 64
   simd::AlignedVector<Word> mask_bits_;
+  simd::AlignedVector<Word> wide_bits_;
   simd::AlignedVector<Word> occupied_bits_;
 
   /// Lazily-reset counting state for box_intersect (epoch stamp instead of
@@ -390,6 +417,14 @@ class IntervalIndex {
     return mask_bits_.data() +
            (attribute * config_.bucket_count + bucket) * 2 * words_;
   }
+  [[nodiscard]] const Word* wide_row(std::size_t attribute) const noexcept {
+    return wide_bits_.data() + attribute * 2 * words_;
+  }
+  /// True iff some live slot is wide on `attribute`, i.e. its wide row
+  /// can contribute to a query.
+  [[nodiscard]] bool has_wide(std::size_t attribute) const noexcept {
+    return selective_count_[attribute] < size_;
+  }
   /// True iff the slot's box contains the point / intersects the box,
   /// checking only the attributes in `attrs` (m_ <= 64) or all of them.
   [[nodiscard]] bool verify_stab(std::uint32_t slot,
@@ -411,24 +446,26 @@ class IntervalIndex {
   template <typename Verify>
   std::uint64_t emit_candidates(std::vector<core::SubscriptionId>& out,
                                 Verify&& verify) const;
-  /// Writes the slot's mask bits for one selective attribute: possible
-  /// lane 1 in the buckets its interval overlaps, certain lane 1 in the
-  /// buckets it fully covers (both lanes 1 everywhere on erase-restore).
+  /// Writes the slot's mask bits for one selective attribute over the
+  /// buckets its interval overlaps: on `set`, possible lane 1 there and
+  /// certain lane 1 in the buckets it fully covers; otherwise both lanes
+  /// back to 0. Buckets outside the span are never touched.
   void write_mask_bits(std::size_t attribute, std::uint32_t slot,
-                       const core::Interval& iv, bool erase_restore);
+                       const core::Interval& iv, bool set);
   /// Writes the slot's packed verify records (padding lanes -inf/+inf).
   void write_verify_row(std::uint32_t slot, const core::Subscription& sub);
   void grow_bitmaps();
   void remove_endpoint(std::vector<Endpoint>& endpoints, core::Value value,
                        std::uint32_t slot);
-  /// Restores a slot's mask rows to the free-slot all-ones state.
-  void restore_mask_bits(std::uint32_t slot);
+  /// Clears a slot's mask bits on every selective attribute (the free-
+  /// slot all-zero state), recomputing the spans from ranges_.
+  void clear_mask_bits(std::uint32_t slot);
   /// Resets per-slot state and returns the slot to the free list. The
-  /// caller must already have removed its endpoints and restored its mask.
+  /// caller must already have removed its endpoints and cleared its mask.
   void release_slot(std::uint32_t slot);
   /// Pending mutations that the next compaction will fold in.
   [[nodiscard]] std::size_t pending_mutations() const noexcept {
-    return delta_slots_.size() + dead_slots_.size();
+    return delta_slots_.size() + erased_delta_count_ + dead_slots_.size();
   }
   [[nodiscard]] std::size_t compaction_threshold() const noexcept;
   void maybe_compact();

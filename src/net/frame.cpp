@@ -33,14 +33,19 @@ void append_frame(std::vector<std::uint8_t>& out,
 }
 
 void FrameReader::check_header() const {
-  if (buffer_.size() < 4) return;
-  const std::uint32_t len = read_u32_le(buffer_.data());
+  if (buffered() < 4) return;
+  const std::uint32_t len = read_u32_le(buffer_.data() + head_);
   if (len == 0 || len > kMaxFrameBytes) {
     throw wire::DecodeError("net::FrameReader: frame length out of range");
   }
 }
 
 void FrameReader::feed(std::span<const std::uint8_t> bytes) {
+  if (head_ != 0) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
   buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
   // Validate eagerly: an oversized header is a protocol violation the
   // moment it is visible, independent of whether its payload ever arrives.
@@ -48,14 +53,15 @@ void FrameReader::feed(std::span<const std::uint8_t> bytes) {
 }
 
 bool FrameReader::next(std::vector<std::uint8_t>& payload) {
-  if (buffer_.size() < 4) return false;
-  const std::uint32_t len = read_u32_le(buffer_.data());
+  if (buffered() < 4) return false;
+  const std::uint8_t* frame = buffer_.data() + head_;
+  const std::uint32_t len = read_u32_le(frame);
   if (len == 0 || len > kMaxFrameBytes) {
     throw wire::DecodeError("net::FrameReader: frame length out of range");
   }
-  if (buffer_.size() < 4 + static_cast<std::size_t>(len)) return false;
-  payload.assign(buffer_.begin() + 4, buffer_.begin() + 4 + len);
-  buffer_.erase(buffer_.begin(), buffer_.begin() + 4 + len);
+  if (buffered() < 4 + static_cast<std::size_t>(len)) return false;
+  payload.assign(frame + 4, frame + 4 + len);
+  head_ += 4 + static_cast<std::size_t>(len);
   // The next frame's header (if buffered) gets the same eager validation.
   check_header();
   return true;

@@ -34,7 +34,8 @@ void append_frame(std::vector<std::uint8_t>& out,
 /// (the caller decides whether EOF mid-frame is an error).
 class FrameReader {
  public:
-  /// Appends raw stream bytes to the internal buffer.
+  /// Appends raw stream bytes to the internal buffer (first dropping the
+  /// bytes of frames already consumed by next(), one compaction per feed).
   /// Throws wire::DecodeError as soon as a frame header announces a
   /// zero-length or oversized frame — before waiting for its payload.
   void feed(std::span<const std::uint8_t> bytes);
@@ -45,16 +46,21 @@ class FrameReader {
   [[nodiscard]] bool next(std::vector<std::uint8_t>& payload);
 
   /// True when no partial frame is pending — the clean-EOF condition.
-  [[nodiscard]] bool at_boundary() const noexcept { return buffer_.empty(); }
+  [[nodiscard]] bool at_boundary() const noexcept { return buffered() == 0; }
 
   /// Buffered bytes not yet consumed as frames.
-  [[nodiscard]] std::size_t buffered() const noexcept { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered() const noexcept {
+    return buffer_.size() - head_;
+  }
 
  private:
-  /// Validates the header at the front of `buffer_` (if present).
+  /// Validates the header at the read offset (if present).
   void check_header() const;
 
+  /// buffer_[head_, size) is unconsumed: next() only advances head_, so
+  /// draining many coalesced frames from one read costs no memmove.
   std::vector<std::uint8_t> buffer_;
+  std::size_t head_ = 0;
 };
 
 }  // namespace psc::net

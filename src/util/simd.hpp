@@ -134,6 +134,43 @@ inline void prefetch(const void* p) noexcept {
 #endif
 }
 
+/// acc[w] &= row[w] | extra[w] over `words` (block multiple); returns true
+/// iff any bit survives — the stab sweep over an attribute some live slots
+/// are wide on (`extra` is IntervalIndex's wide row).
+[[nodiscard]] inline bool and_or_into(Word* acc, const Word* row,
+                                      const Word* extra,
+                                      std::size_t words) noexcept {
+#if defined(PSC_SIMD_AVX2)
+  __m256i any = _mm256_setzero_si256();
+  for (std::size_t w = 0; w < words; w += kBlockWords) {
+    const __m256i a = _mm256_and_si256(
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(acc + w)),
+        _mm256_or_si256(
+            _mm256_load_si256(reinterpret_cast<const __m256i*>(row + w)),
+            _mm256_load_si256(reinterpret_cast<const __m256i*>(extra + w))));
+    _mm256_store_si256(reinterpret_cast<__m256i*>(acc + w), a);
+    any = _mm256_or_si256(any, a);
+  }
+  return _mm256_testz_si256(any, any) == 0;
+#elif defined(PSC_SIMD_NEON)
+  uint64x2_t any = vdupq_n_u64(0);
+  for (std::size_t w = 0; w < words; w += 2) {
+    const uint64x2_t a = vandq_u64(
+        vld1q_u64(acc + w), vorrq_u64(vld1q_u64(row + w), vld1q_u64(extra + w)));
+    vst1q_u64(acc + w, a);
+    any = vorrq_u64(any, a);
+  }
+  return (vgetq_lane_u64(any, 0) | vgetq_lane_u64(any, 1)) != 0;
+#else
+  Word any = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    acc[w] &= row[w] | extra[w];
+    any |= acc[w];
+  }
+  return any != 0;
+#endif
+}
+
 /// Paired-lane variant for an UNTRUSTED attribute (see the IntervalIndex
 /// certainty-lane contract): even (possible) words AND normally, odd
 /// (certain) words are forced to zero. Returns true iff any possible bit
