@@ -79,11 +79,12 @@ void BM_WitnessEstimate(benchmark::State& state) {
 BENCHMARK(BM_WitnessEstimate)->Arg(50)->Arg(200)->Arg(800);
 
 void BM_RspcPerTrialCost(benchmark::State& state) {
-  // Covered instance => every trial runs the full membership scan; the
-  // per-iteration figure is time/trials.
-  const auto inst = covering_instance(10, static_cast<std::size_t>(state.range(0)), 5);
+  // Covered instance => every trial lands in the union and the whole
+  // budget runs; items/s is trials/s. Args: (m, k).
+  const auto inst = covering_instance(static_cast<std::size_t>(state.range(0)),
+                                      static_cast<std::size_t>(state.range(1)), 5);
   util::Rng rng(6);
-  const std::uint64_t trials = 256;
+  const std::uint64_t trials = 4096;
   for (auto _ : state) {
     const auto result = core::run_rspc(inst.tested, inst.existing, trials, rng);
     benchmark::DoNotOptimize(result.covered);
@@ -91,7 +92,8 @@ void BM_RspcPerTrialCost(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(trials));
 }
-BENCHMARK(BM_RspcPerTrialCost)->Arg(50)->Arg(200);
+BENCHMARK(BM_RspcPerTrialCost)
+    ->ArgsProduct({{2, 4, 10}, {4, 10, 40, 200}});
 
 void BM_EngineCovering(benchmark::State& state) {
   const auto inst = covering_instance(10, static_cast<std::size_t>(state.range(0)), 7);

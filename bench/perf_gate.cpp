@@ -36,6 +36,11 @@
 //     (--pipeline-chunk publications each), not per publication.
 //     Knobs: --pipeline-workers=-1 (auto) --pipeline-batch=16
 //     --pipeline-depth=4 --pipeline-chunk=256 (see docs/TUNING.md)
+//   * engine_rspc    — SubsumptionEngine::check on fixed probabilistic-YES
+//     instances (workload::make_redundant_covering at m = 2, 4, 10, k = 40;
+//     the same in --small runs) with delta = 1e-300, which stretches each
+//     check to ~50x the default trial budget so the RSPC trial loop
+//     dominates it; also records trials_per_sec
 //   * churn_soak     — sim::ChurnDriver over the five standard topologies
 //     with the differential oracle on (ops/sec per topology); runs with
 //     the pipelined network config + publish coalescing, so the soak
@@ -52,6 +57,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/engine.hpp"
 #include "index/interval_index.hpp"
 #include "routing/broker.hpp"
 #include "routing/publish_pipeline.hpp"
@@ -357,6 +363,41 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- Section: engine_rspc ---------------------------------------------
+  // Full Algorithm 4 checks whose verdict is a probabilistic YES: the
+  // union covers s, so every check runs all of its trial budget. At the
+  // default delta the conflict table and MCS would outweigh the few
+  // hundred trials these instances get; delta = 1e-300 multiplies the
+  // Eq. 1 budget by ln(1e-300) / ln(1e-6) = 50. The instances do not
+  // depend on --small or the tier sizes.
+  std::uint64_t engine_trials = 0;
+  const SectionResult engine_rspc = [&] {
+    std::vector<workload::Instance> instances;
+    for (const std::size_t m : {std::size_t{2}, std::size_t{4}, std::size_t{10}}) {
+      workload::ScenarioConfig config;
+      config.attribute_count = m;
+      config.set_size = 40;
+      util::Rng instance_rng(seed + m);
+      instances.push_back(workload::make_redundant_covering(config, instance_rng));
+    }
+    core::SubsumptionEngine engine(core::EngineConfig{.delta = 1e-300}, seed);
+    constexpr std::uint64_t kChecksPerInstance = 200;
+    return time_section(
+        "engine_rspc", kChecksPerInstance * instances.size(),
+        [&](std::uint64_t i) {
+          const workload::Instance& inst = instances[i % instances.size()];
+          const auto result = engine.check(inst.tested, inst.existing);
+          gate.check(result.path == core::DecisionPath::kRspcProbabilistic,
+                     "engine_rspc: instance " +
+                         std::to_string(i % instances.size()) + " answered " +
+                         std::string(core::to_string(result.path)));
+          engine_trials += result.iterations;
+        });
+  }();
+  const double engine_trials_per_sec = static_cast<double>(engine_trials) *
+                                       engine_rspc.ops_per_sec /
+                                       static_cast<double>(engine_rspc.ops);
+
   // --- Section: broker_publish ------------------------------------------
   // One broker, two links, `actives` routed subscriptions from a mix of
   // local and neighbour origins; the zero-allocation scratch publish path.
@@ -517,8 +558,8 @@ int main(int argc, char** argv) {
                      r->p99_ns});
     }
   }
-  for (const SectionResult* r :
-       {&churn_eager, &broker_publish, &broker_publish_pipelined}) {
+  for (const SectionResult* r : {&churn_eager, &engine_rspc, &broker_publish,
+                                 &broker_publish_pipelined}) {
     table.add_row({r->name, static_cast<long long>(actives),
                    static_cast<long long>(r->ops), r->ops_per_sec, r->p50_ns,
                    r->p99_ns});
@@ -526,6 +567,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nchurn speedup (amortized / eager) at " << actives
             << " actives: " << speedup << "x\n";
+  std::cout << "engine_rspc: " << engine_trials_per_sec << " trials/sec ("
+            << engine_trials << " trials)\n";
   std::cout << "publish speedup (pipelined / sequential) at " << actives
             << " actives: " << pipeline_speedup << "x\n";
   for (const SoakRow& row : soak_rows) {
@@ -564,6 +607,14 @@ int main(int argc, char** argv) {
     write_section(json, primary.box);
     write_section(json, primary.churn_amortized);
     write_section(json, churn_eager);
+    json.begin_object(engine_rspc.name);
+    json.member("ops", engine_rspc.ops);
+    json.member("ops_per_sec", engine_rspc.ops_per_sec);
+    json.member("p50_ns", engine_rspc.p50_ns);
+    json.member("p99_ns", engine_rspc.p99_ns);
+    json.member("trials", engine_trials);
+    json.member("trials_per_sec", engine_trials_per_sec);
+    json.end_object();
     write_section(json, broker_publish);
     write_section(json, broker_publish_pipelined);
     json.begin_object("churn_soak");

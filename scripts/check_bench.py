@@ -19,7 +19,9 @@ honest without flaking:
     one-sided sanity only — the small run must not be SLOWER than the
     full-size baseline (smaller working sets are strictly faster on every
     gated path, so dropping below the full-size number means a real,
-    catastrophic regression) — and the report says so.
+    catastrophic regression) — and the report says so. Sections in
+    SCALE_FREE measure the same fixture at every scale, so they are
+    always compared two-sided (threshold + jitter).
 
 Multi-scale files: both perf_gate and index_scaling emit a "scales" array
 (one block per active-set tier, each with its own config + sections). The
@@ -69,7 +71,12 @@ DEFAULT_SECTIONS = [
     "insert_erase_churn_amortized",
     "broker_publish",
     "broker_publish_pipelined",
+    "engine_rspc",
 ]
+# Sections whose fixture does not depend on the run's scale (perf_gate's
+# engine_rspc checks the same instances in --small and full runs): always
+# compared two-sided, threshold + jitter, even across scales.
+SCALE_FREE = {"engine_rspc"}
 # Sections whose p99 latency is gated alongside throughput: same-scale
 # pairs fail when current p99 rises more than threshold + jitter above the
 # baseline; cross-scale pairs are one-sided (the smaller run's p99 must not
@@ -120,13 +127,14 @@ def compare_sections(base_config, base_sections, cur_config, cur_sections,
     """Gates `gated` section names of one (baseline, current) config pair;
     missing sections only fail when absent from the CURRENT side of a
     same-name pair (harness sets may legitimately differ per tier)."""
-    same_scale = same_scale_configs(base_config, cur_config)
-    if not same_scale:
+    configs_match = same_scale_configs(base_config, cur_config)
+    if not configs_match:
         print(f"check_bench: config sizes differ at {label} "
               f"(baseline actives={base_config.get('actives')}, "
               f"current actives={cur_config.get('actives')}); "
               "applying one-sided scale-aware comparison")
     for name in gated:
+        same_scale = configs_match or name in SCALE_FREE
         base = base_sections.get(name)
         cur = cur_sections.get(name)
         if base is None or cur is None:

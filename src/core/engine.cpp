@@ -1,11 +1,74 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "core/fast_decisions.hpp"
 
 namespace psc::core {
+
+namespace {
+
+constexpr Value kInf = std::numeric_limits<Value>::infinity();
+
+enum class Unbounded { kNone, kClamped, kWitness };
+
+/// Resolves the infinite sides of s against the candidate set (see
+/// SubsumptionEngine::check). kWitness: some infinite side of s has no
+/// candidate unbounded on that side, so a point of s beyond every finite
+/// endpoint lies outside the union. kClamped: `ranges` holds s with each
+/// infinite side moved to the extreme finite endpoint on its attribute
+/// (of s or a candidate) plus max(1, the span of those endpoints). Beyond
+/// the extreme endpoint a candidate contains x_j iff it is unbounded on
+/// that side, so one slab there decides the whole half-line.
+Unbounded clamp_unbounded(const Subscription& s,
+                          std::span<const Subscription* const> set,
+                          std::vector<Interval>& ranges) {
+  const auto bounded = [](const Interval& r) {
+    return r.lo != -kInf && r.hi != kInf;
+  };
+  if (std::all_of(s.ranges().begin(), s.ranges().end(), bounded)) {
+    return Unbounded::kNone;
+  }
+  ranges.assign(s.ranges().begin(), s.ranges().end());
+  for (std::size_t j = 0; j < ranges.size(); ++j) {
+    Interval& r = ranges[j];
+    if (bounded(r)) continue;
+    Value lo_end = kInf;
+    Value hi_end = -kInf;
+    bool open_below = false;
+    bool open_above = false;
+    const auto note = [&](Value v) {
+      if (std::isfinite(v)) {
+        lo_end = std::min(lo_end, v);
+        hi_end = std::max(hi_end, v);
+      }
+    };
+    note(r.lo);
+    note(r.hi);
+    for (const Subscription* c : set) {
+      const Interval& cr = c->range(j);
+      open_below = open_below || cr.lo == -kInf;
+      open_above = open_above || cr.hi == kInf;
+      note(cr.lo);
+      note(cr.hi);
+    }
+    if ((r.lo == -kInf && !open_below) || (r.hi == kInf && !open_above)) {
+      return Unbounded::kWitness;
+    }
+    // No finite endpoint at all: membership never depends on x_j.
+    if (lo_end > hi_end) lo_end = hi_end = 0.0;
+    const Value margin = std::max<Value>(1.0, hi_end - lo_end);
+    if (r.lo == -kInf) r.lo = lo_end - margin;
+    if (r.hi == kInf) r.hi = hi_end + margin;
+  }
+  return Unbounded::kClamped;
+}
+
+}  // namespace
 
 std::string_view to_string(DecisionPath path) noexcept {
   switch (path) {
@@ -80,7 +143,21 @@ SubsumptionResult SubsumptionEngine::check(
     return result;
   }
 
-  ws_.table.rebuild(s, set);
+  std::optional<Subscription> clamped;
+  std::vector<Interval> clamped_ranges;
+  switch (clamp_unbounded(s, set, clamped_ranges)) {
+    case Unbounded::kNone: break;
+    case Unbounded::kWitness:
+      result.covered = false;
+      result.path = DecisionPath::kPolyhedronWitness;
+      return result;
+    case Unbounded::kClamped:
+      clamped.emplace(std::move(clamped_ranges), s.id());
+      break;
+  }
+  const Subscription& tested = clamped ? *clamped : s;
+
+  ws_.table.rebuild(tested, set);
   const ConflictTable& table = ws_.table;
 
   if (config_.use_fast_decisions) {
@@ -121,7 +198,7 @@ SubsumptionResult SubsumptionEngine::check(
       // rho_w / d are estimated on the *reduced* set: fewer rows can only
       // widen the per-attribute minimum gaps, which is exactly the effect
       // the paper's Figures 7 and 9 measure.
-      ws_.reduced_table.rebuild(s, rspc_set);
+      ws_.reduced_table.rebuild(tested, rspc_set);
       estimate_table = &ws_.reduced_table;
     }
   }
@@ -137,7 +214,7 @@ SubsumptionResult SubsumptionEngine::check(
       capped_trials(estimate.rho_w, config_.delta, config_.max_iterations);
 
   const RspcResult rspc =
-      run_rspc(s, rspc_set, result.trial_budget, rng_, ws_.point);
+      run_rspc(tested, rspc_set, result.trial_budget, rng_, ws_.rspc);
   result.iterations = rspc.iterations;
   if (!rspc.covered) {
     result.covered = false;

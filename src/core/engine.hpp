@@ -81,8 +81,8 @@ struct EngineConfig {
 /// engine; every buffer is cleared-and-refilled per query so its capacity
 /// survives across checks and steady-state queries (same working-set size)
 /// perform zero heap allocations. The only remaining allocation paths are
-/// capacity growth on a larger-than-ever query and the witness copy
-/// returned with a definite NO.
+/// capacity growth on a larger-than-ever query, the witness copy returned
+/// with a definite NO, and the clamped copy of an unbounded s.
 struct EngineWorkspace {
   std::vector<const Subscription*> input;     ///< value-span adapter
   std::vector<const Subscription*> filtered;  ///< prefilter survivors
@@ -93,7 +93,7 @@ struct EngineWorkspace {
   McsResult mcs;                              ///< kept vector reused
   std::vector<char> alive;                    ///< MCS alive mask
   std::vector<std::size_t> sorted_counts;     ///< Corollary 3 scratch
-  std::vector<Value> point;                   ///< RSPC sample buffer
+  RspcScratch rspc;                           ///< RSPC flat layout + point
 };
 
 /// Stateless-except-RNG checker. One instance may serve many queries; the
@@ -116,11 +116,15 @@ class SubsumptionEngine {
                              std::uint64_t seed = 0x5eedf00dULL);
 
   /// Decides s ⊑ (set[0] ∨ ... ∨ set[k-1]) per Algorithm 4.
-  /// Preconditions: s has finite ranges on every attribute (RSPC samples
-  /// uniformly inside s) and every candidate shares s's attribute schema;
-  /// candidate ranges may be unbounded. A definite verdict is always
-  /// correct; a probabilistic YES (is_definite == false) errs with
-  /// probability at most config().delta.
+  /// Precondition: every candidate shares s's attribute schema. Any range,
+  /// of s or of a candidate, may be unbounded (the paper's (-inf, inf)
+  /// insignificant attribute): after the prefilter, an infinite side of s
+  /// that no candidate is unbounded on is a definite NO
+  /// (kPolyhedronWitness), and every other infinite side is clamped just
+  /// beyond the candidates' finite endpoints, where membership no longer
+  /// depends on that attribute, so the clamped box is covered exactly
+  /// when s is. A definite verdict is always correct; a probabilistic YES
+  /// (is_definite == false) errs with probability at most config().delta.
   [[nodiscard]] SubsumptionResult check(const Subscription& s,
                                         std::span<const Subscription> set);
 

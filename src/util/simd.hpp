@@ -15,7 +15,10 @@
 //   * the double-compare kernels use ORDERED-QUIET predicates
 //     (_CMP_GE_OQ / _CMP_LE_OQ), which match the scalar `>=` / `<=`
 //     semantics bit-for-bit, including every NaN case (NaN compares
-//     false).
+//     false);
+//   * the RSPC box kernel (any_box_contains) keeps its scalar body
+//     callable in every build as any_box_contains_scalar, so the test
+//     compares the two bodies directly.
 //
 // All word-array kernels require 32-byte-aligned pointers and a word count
 // that is a multiple of kBlockWords; AlignedVector + padded_words()
@@ -306,6 +309,58 @@ inline void andnot_into(Word* acc, const Word* row, std::size_t words) noexcept 
     if (!(qhi4[i] >= rec8[i] && qlo4[i] <= rec8[i + 4])) return false;
   }
   return true;
+#endif
+}
+
+/// Box-membership kernel of the RSPC trial loop, over boxes stored
+/// attribute-major: lo[j * stride + i] / hi[j * stride + i] is box i's
+/// range on attribute j, with `stride` a whole number of blocks
+/// (padded_words: four double lanes per 256-bit block). Padding
+/// lanes carry lo = +inf / hi = -inf so they never match. True iff some
+/// lane i has lo <= point[j] <= hi on every attribute j < dims; lanes are
+/// tested in order and the first hit returns.
+///
+/// The scalar body is always compiled (tests compare the two bodies in a
+/// vector build); it uses the same ordered `<=` as the AVX2 _CMP_LE_OQ
+/// body, so a NaN on either side fails the lane in both.
+[[nodiscard]] inline bool any_box_contains_scalar(const double* point,
+                                                  const double* lo,
+                                                  const double* hi,
+                                                  std::size_t dims,
+                                                  std::size_t stride) noexcept {
+  for (std::size_t i = 0; i < stride; ++i) {
+    std::size_t j = 0;
+    while (j < dims && lo[j * stride + i] <= point[j] &&
+           point[j] <= hi[j * stride + i]) {
+      ++j;
+    }
+    if (j == dims) return true;
+  }
+  return false;
+}
+
+/// any_box_contains_scalar, four lanes per compare on AVX2 (32-byte-aligned
+/// rows required there); other targets take the scalar body.
+[[nodiscard]] inline bool any_box_contains(const double* point,
+                                           const double* lo, const double* hi,
+                                           std::size_t dims,
+                                           std::size_t stride) noexcept {
+#if defined(PSC_SIMD_AVX2)
+  for (std::size_t b = 0; b < stride; b += kBlockWords) {
+    int inside = 0xf;
+    for (std::size_t j = 0; j < dims && inside != 0; ++j) {
+      const __m256d p = _mm256_broadcast_sd(point + j);
+      const __m256d ge =
+          _mm256_cmp_pd(_mm256_load_pd(lo + j * stride + b), p, _CMP_LE_OQ);
+      const __m256d le =
+          _mm256_cmp_pd(p, _mm256_load_pd(hi + j * stride + b), _CMP_LE_OQ);
+      inside &= _mm256_movemask_pd(_mm256_and_pd(ge, le));
+    }
+    if (inside != 0) return true;
+  }
+  return false;
+#else
+  return any_box_contains_scalar(point, lo, hi, dims, stride);
 #endif
 }
 

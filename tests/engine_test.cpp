@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
+
+#include "baseline/exact_subsumption.hpp"
+#include "store/subscription_store.hpp"
 
 namespace psc::core {
 namespace {
@@ -197,6 +201,90 @@ TEST(Engine, DegenerateTestedSubscription) {
   const auto result = engine.check(s, set);
   EXPECT_TRUE(result.covered);
   EXPECT_EQ(result.path, DecisionPath::kPairwiseCover);
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(Engine, UnboundedAttributeMatchesExactOracle) {
+  // The paper writes an insignificant attribute as (-inf, inf). Such an s
+  // used to reach RSPC and throw; the engine now either answers NO from a
+  // side no candidate is unbounded on, or clamps the side just past every
+  // finite endpoint. Every verdict must equal the exact oracle's.
+  const Interval all{-kInf, kInf};
+  struct Case {
+    const char* name;
+    Subscription s;
+    std::vector<Subscription> set;
+    bool covered;
+  };
+  const std::vector<Case> cases{
+      {"union of two slabs unbounded on x2",
+       Subscription({Interval{0, 10}, all}),
+       {Subscription({Interval{-1, 6}, all}, 1),
+        Subscription({Interval{4, 11}, all}, 2)},
+       true},
+      {"half-lines and a finite overlap on x2",
+       Subscription({Interval{0, 10}, all}),
+       {Subscription({Interval{-1, 6}, Interval{-kInf, 5}}, 1),
+        Subscription({Interval{-1, 6}, Interval{3, kInf}}, 2),
+        Subscription({Interval{4, 11}, all}, 3)},
+       true},
+      {"finite gap on x2 between two half-lines",
+       Subscription({Interval{0, 10}, all}),
+       {Subscription({Interval{-1, 6}, all}, 1),
+        Subscription({Interval{4, 11}, Interval{-kInf, 100}}, 2),
+        Subscription({Interval{4, 11}, Interval{101, kInf}}, 3)},
+       false},
+      {"lower half-line on x2 covered only for x1 <= 5",
+       Subscription({Interval{0, 10}, all}),
+       {Subscription({Interval{-1, 11}, Interval{-5, kInf}}, 1),
+        Subscription({Interval{-1, 5}, Interval{-kInf, 0}}, 2)},
+       false},
+      {"no candidate unbounded above on x1",
+       Subscription({all, Interval{0, 10}}),
+       {Subscription({Interval{-kInf, 5}, Interval{-1, 11}}, 1),
+        Subscription({Interval{4, 1e6}, Interval{-1, 11}}, 2)},
+       false},
+  };
+  for (const Case& c : cases) {
+    const auto exact = baseline::exact_subsumption(c.s, c.set);
+    ASSERT_EQ(exact.covered, c.covered) << c.name;
+    SubsumptionEngine engine;
+    SubsumptionResult result;
+    ASSERT_NO_THROW(result = engine.check(c.s, c.set)) << c.name;
+    EXPECT_EQ(result.covered, exact.covered) << c.name;
+    if (result.witness) {
+      EXPECT_TRUE(c.s.contains_point(*result.witness)) << c.name;
+      EXPECT_FALSE(point_in_union(*result.witness, c.set)) << c.name;
+    }
+  }
+}
+
+TEST(Engine, UnboundedSideNoCandidateReachesIsPolyhedronWitness) {
+  // Decided before the conflict table, so even with the fast paths off
+  // (where only sampling could find the uncovered half-line) the NO is
+  // definite and exact.
+  SubsumptionEngine engine(EngineConfig{.use_fast_decisions = false});
+  const Subscription s({Interval{0, 10}, Interval{0, kInf}});
+  const std::vector<Subscription> set{
+      Subscription({Interval{-1, 11}, Interval{-1, 1e9}}, 1)};
+  const auto result = engine.check(s, set);
+  EXPECT_FALSE(result.covered);
+  EXPECT_TRUE(result.is_definite);
+  EXPECT_EQ(result.path, DecisionPath::kPolyhedronWitness);
+}
+
+TEST(Engine, GroupStoreAcceptsUnboundedSubscription) {
+  // End to end through the group policy: the store used to let the RSPC
+  // exception escape insert().
+  const Interval all{-kInf, kInf};
+  store::SubscriptionStore store;
+  ASSERT_TRUE(store.insert(Subscription({Interval{-1, 6}, all}, 1)).accepted_active);
+  ASSERT_TRUE(store.insert(Subscription({Interval{4, 11}, all}, 2)).accepted_active);
+  store::InsertResult result;
+  ASSERT_NO_THROW(result = store.insert(Subscription({Interval{0, 10}, all}, 3)));
+  EXPECT_TRUE(result.covered);
+  EXPECT_FALSE(result.accepted_active);
 }
 
 TEST(Engine, DecisionPathNames) {

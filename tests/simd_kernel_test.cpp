@@ -160,6 +160,70 @@ TEST(SimdKernels, DoubleKernelsMatchScalarSemantics) {
   }
 }
 
+TEST(SimdKernels, BoxKernelBodiesAgree) {
+  // any_box_contains (the compiled backend) and any_box_contains_scalar
+  // must agree with a naive any-lane-contains reference on attribute-major
+  // layouts of every width, with real lanes drawn from a small grid (so
+  // points hit endpoints exactly), +-inf and NaN endpoints, degenerate
+  // ranges, and never-matching padding lanes (+inf, -inf) in the tail —
+  // including all-padding layouts and points at +-inf or NaN.
+  const std::vector<double> specials{-kInf, kInf, kNaN, -1.0, 0.0, 1.0};
+  util::Rng rng(20261017);
+  std::uint64_t hits = 0;
+  for (int round = 0; round < 20'000; ++round) {
+    const std::size_t dims = rng.next_below(9);
+    const std::size_t lanes = rng.next_below(21);
+    const std::size_t stride = simd::padded_words(lanes);
+    const auto pick = [&] {
+      return rng.bernoulli(0.15) ? specials[rng.next_below(specials.size())]
+                                 : static_cast<double>(rng.uniform_int(-3, 3));
+    };
+    simd::AlignedVector<double> lo(dims * stride, kInf);
+    simd::AlignedVector<double> hi(dims * stride, -kInf);
+    for (std::size_t j = 0; j < dims; ++j) {
+      for (std::size_t i = 0; i < lanes; ++i) {
+        double a = pick(), b = rng.bernoulli(0.1) ? a : pick();
+        if (a > b) std::swap(a, b);
+        lo[j * stride + i] = a;
+        hi[j * stride + i] = b;
+      }
+    }
+    std::vector<double> point(dims);
+    for (double& v : point) v = pick();
+
+    bool expected = false;
+    for (std::size_t i = 0; i < stride && !expected; ++i) {
+      bool inside = true;
+      for (std::size_t j = 0; j < dims; ++j) {
+        inside = inside && point[j] >= lo[j * stride + i] &&
+                 point[j] <= hi[j * stride + i];
+      }
+      expected = inside;
+    }
+    EXPECT_EQ(simd::any_box_contains(point.data(), lo.data(), hi.data(),
+                                     dims, stride),
+              expected)
+        << round;
+    EXPECT_EQ(simd::any_box_contains_scalar(point.data(), lo.data(),
+                                            hi.data(), dims, stride),
+              expected)
+        << round;
+    if (expected) ++hits;
+
+    // Padding lanes alone never match a point with at least one attribute.
+    if (dims > 0) {
+      const simd::AlignedVector<double> pad_lo(dims * stride, kInf);
+      const simd::AlignedVector<double> pad_hi(dims * stride, -kInf);
+      EXPECT_FALSE(simd::any_box_contains(point.data(), pad_lo.data(),
+                                          pad_hi.data(), dims, stride));
+      EXPECT_FALSE(simd::any_box_contains_scalar(
+          point.data(), pad_lo.data(), pad_hi.data(), dims, stride));
+    }
+  }
+  EXPECT_GT(hits, 2'000u);
+  EXPECT_LT(hits, 18'000u);
+}
+
 index::IndexConfig scalar_config(index::IndexConfig config) {
   config.use_simd = false;
   return config;
