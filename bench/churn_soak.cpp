@@ -18,6 +18,10 @@
 // the dedicated fault matrix; these flags exist so the plain churn soak
 // can be spot-checked under loss without switching harnesses.
 //
+// --pipelined coalesces runs of consecutive publish ops into one batch
+// publish (sim::ChurnDriver::Options::pipelined_publish), which the network
+// routes through its staged PublishPipeline on perfect links.
+//
 // Every run replays the same seeded trace per topology, so two runs with
 // equal flags produce identical counters; wall-clock timing is the only
 // nondeterministic field in the JSON.
@@ -172,7 +176,6 @@ int main(int argc, char** argv) {
     routing::NetworkConfig net_config = routing::NetworkConfig::Builder()
                                             .store(store_config)
                                             .match_shards(shards)
-                                            .pipelined(pipelined)
                                             .build();
     config.link_latency = net_config.link_latency;
 

@@ -28,12 +28,14 @@
 //     PR 4 headline speedup and is gated >= 3x in full runs (primary tier
 //     only: eager at 1M actives would take hours by construction)
 //   * broker_publish — Broker::handle_publication through PublishScratch
-//     (the zero-allocation publish path) against a routed table
+//     (the zero-allocation publish path over the broker's publish lanes)
+//     against a routed table
 //   * broker_publish_pipelined — the same routed table through the staged
-//     PublishPipeline (origin-partitioned lanes + radix route stage);
-//     gated decision-identical to broker_publish in-run and >= 5x its
-//     throughput in full runs. Latency samples are per pipeline chunk
-//     (--pipeline-chunk publications each), not per publication.
+//     PublishPipeline. Both publish sections are gated decision-identical
+//     to a flat scan over the routed (subscription, origin) pairs in-run;
+//     their throughput floors live in scripts/check_bench.py. Latency
+//     samples are per pipeline chunk (--pipeline-chunk publications
+//     each), not per publication.
 //     Knobs: --pipeline-workers=-1 (auto) --pipeline-batch=16
 //     --pipeline-depth=4 --pipeline-chunk=256 (see docs/TUNING.md)
 //   * engine_rspc    — SubsumptionEngine::check on fixed probabilistic-YES
@@ -43,17 +45,19 @@
 //     dominates it; also records trials_per_sec
 //   * churn_soak     — sim::ChurnDriver over the five standard topologies
 //     with the differential oracle on (ops/sec per topology); runs with
-//     the pipelined network config + publish coalescing, so the soak
+//     the --pipeline-* sizing + publish coalescing, so the soak
 //     differentially exercises the staged path under churn
 //
 // --small shrinks every size for the CI smoke / ctest registration; small
 // runs still gate on correctness (oracles + checksums) but skip the
 // speedup threshold (tiny sizes are all noise).
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -405,6 +409,10 @@ int main(int argc, char** argv) {
   routing::Broker broker(0, broker_store, seed, /*match_shards=*/1);
   broker.add_neighbor(1);
   broker.add_neighbor(2);
+  // The oracle's copy of the routed (subscription, origin) pairs, in
+  // ascending id order (the stream numbers ids consecutively).
+  std::vector<std::pair<Subscription, routing::Origin>> routed;
+  routed.reserve(actives);
   {
     workload::ComparisonStream route_stream(stream_config, seed + 3);
     util::Rng origin_rng(seed + 4);
@@ -413,9 +421,28 @@ int main(int argc, char** argv) {
       const auto draw = origin_rng.next_below(3);
       if (draw == 1) origin = routing::Origin{false, 1};
       if (draw == 2) origin = routing::Origin{false, 2};
-      (void)broker.handle_subscription(route_stream.next(), origin);
+      routed.emplace_back(route_stream.next(), origin);
+      (void)broker.handle_subscription(routed.back().first, origin);
     }
   }
+  // Flat-scan route oracle: local-origin matches are the local deliveries;
+  // other neighbours, minus the publication's origin, are destinations in
+  // first-match order.
+  const auto oracle_route = [&](const Publication& pub,
+                                const routing::Origin& origin) {
+    routing::Broker::PublicationRoute route;
+    for (const auto& [sub, from] : routed) {
+      if (!pub.matches(sub)) continue;
+      if (from.local) {
+        route.local_matches.push_back(sub.id());
+      } else if ((origin.local || from.neighbor != origin.neighbor) &&
+                 std::find(route.destinations.begin(), route.destinations.end(),
+                           from.neighbor) == route.destinations.end()) {
+        route.destinations.push_back(from.neighbor);
+      }
+    }
+    return route;
+  };
   routing::Broker::PublishScratch scratch;
   const routing::Origin publish_origin{true, routing::kInvalidBroker};
   const SectionResult broker_publish =
@@ -424,16 +451,19 @@ int main(int argc, char** argv) {
             broker.handle_publication(primary_probes[i], publish_origin, scratch);
         sink += route.local_matches.size() + route.destinations.size();
       });
-  // Oracle: scratch overload against the legacy vector-returning overload.
+  // Oracle: decision-for-decision equality against the flat scan, from
+  // both a local and a neighbour origin (never-send-back).
   for (std::uint64_t i = 0; i < queries; i += std::max<std::uint64_t>(queries / 8, 1)) {
-    std::vector<SubscriptionId> legacy_local;
-    const auto legacy_dests =
-        broker.handle_publication(primary_probes[i], publish_origin, legacy_local);
-    const auto& route =
-        broker.handle_publication(primary_probes[i], publish_origin, scratch);
-    gate.check(route.local_matches == legacy_local &&
-                   route.destinations == legacy_dests,
-               "broker_publish route drift at probe " + std::to_string(i));
+    for (const routing::Origin& origin :
+         {publish_origin, routing::Origin{false, 1}}) {
+      const auto expected = oracle_route(primary_probes[i], origin);
+      const auto& route =
+          broker.handle_publication(primary_probes[i], origin, scratch);
+      gate.check(route.local_matches == expected.local_matches &&
+                     route.destinations == expected.destinations,
+                 "broker_publish route drift at probe " + std::to_string(i) +
+                     (origin.local ? " (local)" : " (neighbour)"));
+    }
   }
 
   // --- Section: broker_publish_pipelined --------------------------------
@@ -454,7 +484,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("pipeline-depth", 4));
   const auto pipeline_chunk = static_cast<std::uint64_t>(
       flags.get_int("pipeline-chunk", 256));
-  broker.enable_publish_lanes();
   routing::PublishPipeline pipeline(pipeline_options);
   std::vector<routing::Broker::PublicationRoute> pipe_routes;
   const SectionResult broker_publish_pipelined = [&] {
@@ -477,8 +506,7 @@ int main(int argc, char** argv) {
     return latencies.section("broker_publish_pipelined", queries,
                              timer.elapsed_seconds());
   }();
-  // Oracle: decision-for-decision equality against the sequential scratch
-  // path, from both a local and a neighbour origin (never-send-back).
+  // Oracle: the same flat-scan equality through the pipeline.
   for (std::uint64_t i = 0; i < queries;
        i += std::max<std::uint64_t>(queries / 8, 1)) {
     for (const routing::Origin& origin :
@@ -486,19 +514,14 @@ int main(int argc, char** argv) {
       pipeline.run(broker,
                    std::span<const Publication>(primary_probes.data() + i, 1),
                    origin, pipe_routes);
-      const auto& route =
-          broker.handle_publication(primary_probes[i], origin, scratch);
-      gate.check(pipe_routes.at(0).local_matches == route.local_matches &&
-                     pipe_routes.at(0).destinations == route.destinations,
+      const auto expected = oracle_route(primary_probes[i], origin);
+      gate.check(pipe_routes.at(0).local_matches == expected.local_matches &&
+                     pipe_routes.at(0).destinations == expected.destinations,
                  "broker_publish_pipelined route drift at probe " +
                      std::to_string(i) +
                      (origin.local ? " (local)" : " (neighbour)"));
     }
   }
-  const double pipeline_speedup =
-      broker_publish.ops_per_sec > 0
-          ? broker_publish_pipelined.ops_per_sec / broker_publish.ops_per_sec
-          : 0.0;
 
   // --- Section: churn_soak (five topologies, differential oracle on) ---
   struct SoakRow {
@@ -519,7 +542,7 @@ int main(int argc, char** argv) {
     for (routing::Topology& topology : routing::standard_topologies(seed)) {
       const routing::NetworkConfig net_config =
           routing::NetworkConfig::Builder()
-              .pipelined(true, pipeline_options)
+              .pipelined(pipeline_options)
               .build();
       churn_config.link_latency = net_config.link_latency;
       const auto trace =
@@ -569,8 +592,6 @@ int main(int argc, char** argv) {
             << " actives: " << speedup << "x\n";
   std::cout << "engine_rspc: " << engine_trials_per_sec << " trials/sec ("
             << engine_trials << " trials)\n";
-  std::cout << "publish speedup (pipelined / sequential) at " << actives
-            << " actives: " << pipeline_speedup << "x\n";
   for (const SoakRow& row : soak_rows) {
     std::cout << "soak " << row.name << ": " << row.ops_per_sec
               << " ops/sec, mismatched=" << row.mismatched
@@ -657,8 +678,6 @@ int main(int argc, char** argv) {
     json.member("churn_speedup_vs_eager", speedup);
     json.member("churn_speedup_required",
                 small ? 0.0 : 3.0);
-    json.member("publish_speedup_pipelined", pipeline_speedup);
-    json.member("publish_speedup_required", small ? 0.0 : 5.0);
     json.end_object();
     json.member("checksum_sink", sink);  // defeats dead-code elimination
     json.end_object();
@@ -674,11 +693,6 @@ int main(int argc, char** argv) {
   if (!small && speedup < 3.0) {
     std::cerr << "\nFAIL: churn speedup " << speedup
               << "x below the 3x acceptance gate\n";
-    return 1;
-  }
-  if (!small && pipeline_speedup < 5.0) {
-    std::cerr << "\nFAIL: pipelined publish speedup " << pipeline_speedup
-              << "x below the 5x acceptance gate\n";
     return 1;
   }
   return 0;

@@ -41,9 +41,9 @@ Latency gating: sections in P99_GATED (the broker publish paths) also gate
 on p99_ns — same-scale pairs allow threshold + jitter of rise, cross-scale
 pairs are one-sided (a smaller run must not have a larger p99).
 
-Absolute ratchets: the vectorized-matching PR is acceptance-gated on
-stab/box_intersect throughput at the reference scale (100k actives, 4
-attributes, 20k queries). Any file containing a tier at exactly that scale
+Absolute ratchets: stab/box_intersect (the vectorized-matching PR's
+acceptance gate) and both broker publish sections carry throughput floors
+at the reference scale (100k actives, 4 attributes, 20k queries). Any file containing a tier at exactly that scale
 — in particular the committed full-size baseline — must meet the
 RATCHET_FLOORS, so the trajectory can never silently slide back below the
 3x mark even if both baseline and current regress together.
@@ -86,12 +86,16 @@ JITTER_CAP = 0.20  # max extra allowance from latency jitter, absolute
 
 # Minimum ops/sec at REFERENCE_SCALE. stab/box_intersect: 3x the
 # pre-vectorization baseline (stab 3792.8, box_intersect 378.6 —
-# BENCH_core.json as of the tiered-index PR). broker_publish_pipelined:
-# 5x the sequential broker_publish baseline (1121.7) — the staged-pipeline
-# PR's acceptance gate. Ratchet upward only.
+# BENCH_core.json as of the tiered-index PR). broker_publish_pipelined and
+# broker_publish: 5x the old sequential broker_publish baseline (1121.7),
+# the routing-table classification path that the publish lanes replaced.
+# It was the staged-pipeline PR's acceptance gate, and it binds the
+# single-publication lane path since that path replaced the sequential one.
+# Ratchet upward only.
 RATCHET_FLOORS = {
     "stab": 11378.3,
     "box_intersect": 1135.7,
+    "broker_publish": 5608.5,
     "broker_publish_pipelined": 5608.5,
 }
 REFERENCE_SCALE = {"actives": 100000, "attributes": 4, "queries": 20000}

@@ -17,6 +17,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// True iff some range of `box` is empty or has a NaN endpoint, so the box
+/// contains no point and intersects nothing (Interval::intersects).
+bool unmatchable(const Subscription& box) {
+  for (const Interval& iv : box.ranges()) {
+    if (!(iv.lo <= iv.hi)) return true;
+  }
+  return false;
+}
+
 struct EndpointLess {
   template <typename Endpoint>
   bool operator()(const Endpoint& a, const Endpoint& b) const {
@@ -169,9 +178,13 @@ void IntervalIndex::insert(const Subscription& sub) {
   if (sub.id() == core::kInvalidSubscriptionId) {
     throw std::invalid_argument("IntervalIndex::insert: id must be non-zero");
   }
-  if (slot_of_.contains(sub.id())) {
+  if (contains(sub.id())) {
     throw std::invalid_argument("IntervalIndex::insert: duplicate id " +
                                 std::to_string(sub.id()));
+  }
+  if (unmatchable(sub)) {
+    unmatchable_.insert(sub.id());
+    return;
   }
 
   std::uint32_t slot;
@@ -280,6 +293,7 @@ void IntervalIndex::remove_endpoint(std::vector<Endpoint>& endpoints,
 }
 
 bool IntervalIndex::erase(SubscriptionId id) {
+  if (unmatchable_.erase(id) != 0) return true;
   const std::uint32_t* found = slot_of_.find(id);
   if (found == nullptr) return false;
   const std::uint32_t slot = *found;
@@ -412,6 +426,7 @@ void IntervalIndex::clear() {
   wide_attrs_.clear();
   free_slots_.clear();
   slot_of_.clear();
+  unmatchable_.clear();
   unselective_slots_.clear();
   unselective_pos_.clear();
   delta_slots_.clear();
@@ -752,22 +767,13 @@ void IntervalIndex::box_intersect(const Subscription& box,
   if (box.attribute_count() != m_) {
     throw std::invalid_argument("IntervalIndex::box_intersect: schema mismatch");
   }
-  if (size_ == 0) {
+  if (size_ == 0 || unmatchable(box)) {
     last_query_cost_ = 0;
     return;
   }
   if (config_.use_simd && simd::vectorized()) {
-    bool has_nan = false;
-    for (std::size_t j = 0; j < m_; ++j) {
-      if (std::isnan(box.range(j).lo) || std::isnan(box.range(j).hi)) {
-        has_nan = true;
-        break;
-      }
-    }
-    if (!has_nan) {
-      box_intersect_simd(box, out);
-      return;
-    }
+    box_intersect_simd(box, out);
+    return;
   }
   const std::uint64_t epoch = ++epoch_;
   std::uint64_t cost = 0;

@@ -136,7 +136,11 @@
 // same span-local ones.
 //
 // Both query paths are exact (closed-interval semantics identical to
-// Subscription::contains_point / Subscription::intersects). Queries mutate
+// Subscription::contains_point / Subscription::intersects). That includes
+// boxes with an empty range or a NaN endpoint, which contain no point and
+// intersect nothing: such a subscription is kept out of every structure
+// above (it only counts toward size/contains/erase), and such a probe box
+// answers empty before either box_intersect path runs. Queries mutate
 // only epoch/scratch state and are const, but not safe to run concurrently
 // on one instance.
 #pragma once
@@ -144,6 +148,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <unordered_set>
 #include <vector>
 
 #include "core/subscription.hpp"
@@ -212,12 +217,14 @@ class IntervalIndex {
 
   void clear();
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return size_ + unmatchable_.size();
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
   [[nodiscard]] std::size_t attribute_count() const noexcept { return m_; }
   [[nodiscard]] const IndexConfig& config() const noexcept { return config_; }
   [[nodiscard]] bool contains(core::SubscriptionId id) const {
-    return slot_of_.contains(id);
+    return slot_of_.contains(id) || unmatchable_.contains(id);
   }
 
   /// Appends to `out` the ids of all subscriptions whose box contains
@@ -333,6 +340,9 @@ class IntervalIndex {
   std::vector<std::uint64_t> wide_attrs_;
   std::vector<std::uint32_t> free_slots_;
   util::FlatMap<core::SubscriptionId, std::uint32_t> slot_of_;
+  /// Ids of indexed subscriptions with an empty or NaN range: they match
+  /// no query, so they hold no slot (see file comment).
+  std::unordered_set<core::SubscriptionId> unmatchable_;
 
   /// Hot emission data (see file comment): packed 4-lane verify records,
   /// verify_groups_ * 8 doubles per slot, and the 32-bit id shadow used

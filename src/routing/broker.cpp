@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/radix_sort.hpp"
 #include "util/rng.hpp"
 #include "wire/snapshot.hpp"
 
@@ -14,11 +15,11 @@ using core::SubscriptionId;
 
 namespace {
 
-/// Configuration of the local match index: coverage-free (every routed
+/// Configuration of a publish lane: coverage-free (every routed
 /// subscription must stay individually matchable), index on/off and
 /// bucketing inherited from the broker's store config.
-exec::ShardConfig match_index_config(const store::StoreConfig& store_config,
-                                     std::size_t match_shards) {
+exec::ShardConfig lane_config(const store::StoreConfig& store_config,
+                              std::size_t match_shards) {
   exec::ShardConfig config;
   config.shard_count = match_shards == 0 ? 1 : match_shards;
   config.store.policy = store::CoveragePolicy::kNone;
@@ -28,6 +29,11 @@ exec::ShardConfig match_index_config(const store::StoreConfig& store_config,
   return config;
 }
 
+std::uint64_t local_lane_seed(std::uint64_t seed) {
+  std::uint64_t mix = seed ^ 0x6c616e65736c6fULL;  // lane-seed domain tag
+  return util::splitmix64(mix);
+}
+
 }  // namespace
 
 Broker::Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed,
@@ -35,8 +41,9 @@ Broker::Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed,
     : id_(id),
       store_config_(store_config),
       seed_(seed),
-      routed_(match_index_config(store_config, match_shards),
-              util::splitmix64(seed)) {}
+      lanes_{exec::ShardedStore(lane_config(store_config, match_shards),
+                                local_lane_seed(seed)),
+             {}} {}
 
 void Broker::add_neighbor(BrokerId neighbor) {
   if (std::find(neighbors_.begin(), neighbors_.end(), neighbor) !=
@@ -114,33 +121,15 @@ const store::SubscriptionStore* Broker::forwarded_store(BrokerId neighbor) const
   return it == forwarded_.end() ? nullptr : it->second.get();
 }
 
-void Broker::enable_publish_lanes(std::size_t local_shards) {
-  lane_local_shards_ =
-      local_shards == 0 ? routed_.shard_count() : local_shards;
-  lanes_ = std::make_unique<PublishLanes>();
-  std::uint64_t mix = seed_ ^ 0x6c616e65736c6fULL;  // lane-seed domain tag
-  lanes_->local = std::make_unique<exec::ShardedStore>(
-      match_index_config(store_config_, lane_local_shards_),
-      util::splitmix64(mix));
-  // Rebuild from whatever the table already holds (normally empty: the
-  // network enables lanes right after construction). Table iteration
-  // order is a hash artifact, but lane stores are coverage-free — their
-  // match SET is insert-order-invariant — so the rebuild is
-  // decision-neutral.
-  routing_table_.for_each([&](SubscriptionId, const RouteEntry& entry) {
-    lane_insert(entry.sub, entry.origin);
-  });
-}
-
 store::SubscriptionStore& Broker::neighbor_lane(BrokerId neighbor) {
-  auto it = lanes_->neighbor.find(neighbor);
-  if (it == lanes_->neighbor.end()) {
+  auto it = lanes_.neighbor.find(neighbor);
+  if (it == lanes_.neighbor.end()) {
     std::uint64_t mix =
         seed_ ^ 0x6e6c616e65ULL ^ (static_cast<std::uint64_t>(neighbor) << 20);
-    it = lanes_->neighbor
+    it = lanes_.neighbor
              .emplace(neighbor,
                       std::make_unique<store::SubscriptionStore>(
-                          match_index_config(store_config_, 1).store,
+                          lane_config(store_config_, 1).store,
                           util::splitmix64(mix)))
              .first;
   }
@@ -148,20 +137,18 @@ store::SubscriptionStore& Broker::neighbor_lane(BrokerId neighbor) {
 }
 
 void Broker::lane_insert(const core::Subscription& sub, const Origin& origin) {
-  if (!lanes_) return;
   if (origin.local) {
-    (void)lanes_->local->insert(sub);
+    (void)lanes_.local.insert(sub);
   } else {
     (void)neighbor_lane(origin.neighbor).insert(sub);
   }
 }
 
 void Broker::lane_erase(SubscriptionId id, const Origin& origin) {
-  if (!lanes_) return;
   if (origin.local) {
-    (void)lanes_->local->erase(id);
-  } else if (const auto it = lanes_->neighbor.find(origin.neighbor);
-             it != lanes_->neighbor.end()) {
+    (void)lanes_.local.erase(id);
+  } else if (const auto it = lanes_.neighbor.find(origin.neighbor);
+             it != lanes_.neighbor.end()) {
     (void)it->second->erase(id);
   }
 }
@@ -176,7 +163,6 @@ std::vector<BrokerId> Broker::handle_subscription(const Subscription& sub,
   if (!routing_table_.try_emplace(sub.id(), sub, origin).second) {
     return {};
   }
-  (void)routed_.insert(sub);
   lane_insert(sub, origin);
 
   std::vector<BrokerId> forward_to;
@@ -216,10 +202,14 @@ std::vector<std::vector<BrokerId>> Broker::insert_batch(
     accepted_subs.push_back(&entry->sub);
   }
 
-  // Phase 2 (parallel over the match-index shards): mirror the accepted
-  // subscriptions into the local match index.
-  (void)routed_.insert_batch(accepted_subs, pool);
-  for (const Subscription* sub : accepted_subs) lane_insert(*sub, origin);
+  // Phase 2: mirror the accepted subscriptions into the origin's lane
+  // (parallel over the local lane's shards).
+  if (origin.local) {
+    (void)lanes_.local.insert_batch(accepted_subs, pool);
+  } else {
+    store::SubscriptionStore& lane = neighbor_lane(origin.neighbor);
+    for (const Subscription* sub : accepted_subs) (void)lane.insert(*sub);
+  }
 
   // Phase 3 (parallel over links): per-link coverage. Each lane owns one
   // forwarded_ store and replays the accepted subsequence in batch order,
@@ -263,10 +253,9 @@ Broker::UnsubscriptionOutcome Broker::handle_unsubscription(
   const RouteEntry* departing = routing_table_.find(id);
   if (departing == nullptr) return outcome;
   // Capture the reverse-path origin before the entry dies: the publish
-  // lanes are partitioned by it, so the mirror erase needs it.
+  // lanes are partitioned by it, so the lane erase needs it.
   const Origin route_origin = departing->origin;
   (void)routing_table_.erase(id);
-  (void)routed_.erase(id);
   lane_erase(id, route_origin);
 
   for (const BrokerId neighbor : neighbors_) {
@@ -290,67 +279,42 @@ Broker::UnsubscriptionOutcome Broker::handle_unsubscription(
   return outcome;
 }
 
-void Broker::route_matches_into(std::vector<SubscriptionId>& ids,
-                                const Origin& origin,
-                                PublicationRoute& route) const {
-  // Shard-merged ids arrive shard-major; sort so downstream order is
-  // independent of the shard count.
-  std::sort(ids.begin(), ids.end());
-  route.local_matches.clear();
+void Broker::assemble_route(
+    PublicationRoute& route, std::vector<SubscriptionId>& sort_scratch,
+    std::vector<std::pair<SubscriptionId, BrokerId>>& destination_keys) {
+  // Shard-merged ids arrive shard-major; sort so the order is independent
+  // of the shard count.
+  util::radix_sort_u64(route.local_matches, sort_scratch);
+  // Ascending minimum matching id == first-match order over the ascending
+  // matching ids.
+  std::sort(destination_keys.begin(), destination_keys.end());
   route.destinations.clear();
-  for (const SubscriptionId sid : ids) {
-    const RouteEntry* entry = routing_table_.find(sid);
-    if (entry == nullptr) continue;
-    if (entry->origin.local) {
-      route.local_matches.push_back(sid);
-      continue;
-    }
-    if (!origin.local && entry->origin.neighbor == origin.neighbor) {
-      continue;  // never send a publication back where it came from
-    }
-    if (std::find(route.destinations.begin(), route.destinations.end(),
-                  entry->origin.neighbor) == route.destinations.end()) {
-      route.destinations.push_back(entry->origin.neighbor);
-    }
+  for (const auto& [min_id, neighbor] : destination_keys) {
+    route.destinations.push_back(neighbor);
   }
 }
 
 const Broker::PublicationRoute& Broker::handle_publication(
     const Publication& pub, const Origin& origin,
     PublishScratch& scratch) const {
-  scratch.ids.clear();
-  routed_.match_active(pub, scratch.ids);
-  route_matches_into(scratch.ids, origin, scratch.route);
-  return scratch.route;
-}
-
-std::vector<BrokerId> Broker::handle_publication(
-    const Publication& pub, const Origin& origin,
-    std::vector<SubscriptionId>& local_matches) const {
-  PublishScratch scratch;
-  const PublicationRoute& route = handle_publication(pub, origin, scratch);
-  local_matches.insert(local_matches.end(), route.local_matches.begin(),
-                       route.local_matches.end());
-  return std::move(scratch.route.destinations);
-}
-
-void Broker::match_batch(std::span<const Publication> pubs,
-                         const Origin& origin,
-                         std::vector<PublicationRoute>& out,
-                         exec::ThreadPool* pool) const {
-  routed_.match_active_batch(pubs, batch_ids_scratch_, pool);
-  out.resize(pubs.size());
-  for (std::size_t p = 0; p < pubs.size(); ++p) {
-    route_matches_into(batch_ids_scratch_[p], origin, out[p]);
+  PublicationRoute& route = scratch.route;
+  route.local_matches.clear();
+  for (std::size_t s = 0; s < lanes_.local.shard_count(); ++s) {
+    lanes_.local.shard(s).match_active_unsorted(pub, route.local_matches);
   }
-}
-
-std::vector<Broker::PublicationRoute> Broker::match_batch(
-    std::span<const Publication> pubs, const Origin& origin,
-    exec::ThreadPool* pool) const {
-  std::vector<PublicationRoute> routes;
-  match_batch(pubs, origin, routes, pool);
-  return routes;
+  scratch.destination_keys.clear();
+  for (const auto& [neighbor, lane] : lanes_.neighbor) {
+    if (!origin.local && neighbor == origin.neighbor) {
+      continue;  // never send a publication back where it came from
+    }
+    scratch.ids.clear();
+    lane->match_active_unsorted(pub, scratch.ids);
+    if (scratch.ids.empty()) continue;
+    scratch.destination_keys.emplace_back(
+        *std::min_element(scratch.ids.begin(), scratch.ids.end()), neighbor);
+  }
+  assemble_route(route, scratch.sort, scratch.destination_keys);
+  return route;
 }
 
 std::vector<std::pair<BrokerId, Subscription>> Broker::handle_expiry(
@@ -420,9 +384,8 @@ void Broker::import_snapshot(const Snapshot& snapshot) {
       throw std::invalid_argument(
           "Broker::import_snapshot: duplicate routing-table id");
     }
-    // Rebuild the derived match index; it is coverage-free (kNone) and
-    // sorts matches by id, so rebuild order is decision-neutral.
-    (void)routed_.insert(record.sub);
+    // Rebuild the derived lanes; they are coverage-free (kNone), so
+    // rebuild order is decision-neutral.
     lane_insert(record.sub, record.origin);
   }
   for (const auto& [neighbor, store_snapshot] : snapshot.links) {

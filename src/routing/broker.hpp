@@ -4,10 +4,11 @@
 //   * routing_table_: subscription -> the neighbour (or local client) it
 //     arrived from. Publications matching the subscription are sent toward
 //     that neighbour (reverse path of the subscription flood).
-//   * routed_: a sharded, index-accelerated mirror of the routing table's
-//     subscriptions (exec::ShardedStore, coverage-free). Publication
-//     matching stabs this instead of scanning the routing table, and the
-//     batch entry points fan its shards out across a thread pool.
+//   * lanes_: the routed subscriptions partitioned BY ORIGIN into
+//     coverage-free, index-accelerated stores (PublishLanes). Publication
+//     matching stabs these instead of scanning the routing table: a
+//     local-lane match IS a local delivery and a neighbour lane with any
+//     match IS a destination, so no matched id needs a table lookup.
 //   * forwarded_[n]: store of subscriptions this broker has propagated to
 //     neighbour n. A new subscription is forwarded to n only if it is not
 //     covered (per the configured policy) by what n already received —
@@ -17,9 +18,11 @@
 // Concurrency model: a Broker is externally single-threaded — one event
 // (or one batch call) at a time. Parallelism lives INSIDE the batch entry
 // points, which fan out across state that is disjoint by construction
-// (routed_'s shards; the per-link forwarded_ stores) and merge results in
-// a deterministic order, so every batch call returns exactly what the
-// equivalent sequence of single-message calls would have returned.
+// (the local lane's shards; the per-link forwarded_ stores) and merge
+// results in a deterministic order, so every batch call returns exactly
+// what the equivalent sequence of single-message calls would have
+// returned. Batch publication matching runs through PublishPipeline
+// (routing/publish_pipeline.hpp), which stabs the same lanes.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +58,9 @@ struct Origin {
 /// Per-broker state. The BrokerNetwork owns Brokers and moves messages.
 class Broker {
  public:
-  /// `match_shards` partitions the local publication-match index
-  /// (see exec::ShardedStore); 1 keeps it sequential-equivalent while
-  /// still index-accelerated.
+  /// `match_shards` partitions the local publish lane (see
+  /// exec::ShardedStore and PublishLanes); routing decisions are identical
+  /// for every value.
   Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed,
          std::size_t match_shards = 1);
 
@@ -138,55 +141,46 @@ class Broker {
   [[nodiscard]] UnsubscriptionOutcome handle_unsubscription(
       core::SubscriptionId id, const Origin& origin);
 
-  /// Handles a publication arriving from `origin`. Returns the neighbours
-  /// the publication must travel to (reverse paths of matching
-  /// subscriptions) and reports local matches via `local_matches`.
-  /// Matching runs against the sharded local index; `local_matches` comes
-  /// back sorted by id and destinations in first-match order, both
-  /// deterministic and independent of the shard count.
-  [[nodiscard]] std::vector<BrokerId> handle_publication(
-      const core::Publication& pub, const Origin& origin,
-      std::vector<core::SubscriptionId>& local_matches) const;
-
-  /// Where one publication of a batch must travel.
+  /// Where a publication must travel from this broker.
   struct PublicationRoute {
     std::vector<core::SubscriptionId> local_matches;  ///< sorted by id
-    std::vector<BrokerId> destinations;  ///< first-match order, deduplicated
+    /// Deduplicated, ordered by each neighbour's minimum matching id —
+    /// i.e. first-match order over the ascending matching ids.
+    std::vector<BrokerId> destinations;
   };
 
-  /// Caller-owned scratch for the zero-allocation publish path: the match
-  /// buffer and route vectors are reused across calls, so once warm a
-  /// steady-state publish performs no heap allocations end to end
-  /// (pinned by tests/publish_alloc_test.cpp). One scratch per calling
-  /// thread; its contents are valid until the next call that uses it.
+  /// Caller-owned scratch for the zero-allocation publish path: the lane
+  /// stab buffer, sort scratch and route vectors are reused across calls,
+  /// so once warm a steady-state publish performs no heap allocations end
+  /// to end (pinned by tests/publish_alloc_test.cpp). One scratch per
+  /// calling thread; its contents are valid until the next call that uses
+  /// it.
   struct PublishScratch {
     std::vector<core::SubscriptionId> ids;
+    std::vector<core::SubscriptionId> sort;
+    std::vector<std::pair<core::SubscriptionId, BrokerId>> destination_keys;
     PublicationRoute route;
   };
 
-  /// Scratch form of handle_publication: matches `pub` against the local
-  /// index into `scratch` and returns the routed result (a reference into
-  /// `scratch.route`). Identical decisions and ordering to the
-  /// vector-returning overload.
+  /// Handles a publication arriving from `origin`: stabs the publish lanes
+  /// and returns where it must travel (a reference into `scratch.route`).
+  /// Local-lane matches are the local deliveries; every neighbour lane
+  /// except the origin's (never send a publication back where it came
+  /// from) with a match is a destination. The result is deterministic and
+  /// independent of the local lane's shard count.
   const PublicationRoute& handle_publication(const core::Publication& pub,
                                              const Origin& origin,
                                              PublishScratch& scratch) const;
 
-  /// Batch form of handle_publication: all of `pubs` arrive from `origin`.
-  /// Matching fans out across the local index's shards on `pool` (nullptr
-  /// runs inline); results are in input order and identical to sequential
-  /// handle_publication calls.
-  [[nodiscard]] std::vector<PublicationRoute> match_batch(
-      std::span<const core::Publication> pubs, const Origin& origin,
-      exec::ThreadPool* pool = nullptr) const;
-
-  /// Out-parameter form of match_batch: `out` is resized to pubs.size()
-  /// and each route's vectors are overwritten in place (capacity kept), so
-  /// a caller reusing one `out` across steady-state batches avoids the
-  /// per-publication vector churn of the returning overload.
-  void match_batch(std::span<const core::Publication> pubs,
-                   const Origin& origin, std::vector<PublicationRoute>& out,
-                   exec::ThreadPool* pool = nullptr) const;
+  /// The route-ordering rule, shared by handle_publication and
+  /// PublishPipeline: sorts `route.local_matches` (the local lane's
+  /// matches, in any order) ascending, and fills `route.destinations` from
+  /// `destination_keys` — (minimum matching id, neighbour) per matching
+  /// neighbour lane — ordered by that minimum id. `sort_scratch` and
+  /// `destination_keys` are clobbered.
+  static void assemble_route(
+      PublicationRoute& route, std::vector<core::SubscriptionId>& sort_scratch,
+      std::vector<std::pair<core::SubscriptionId, BrokerId>>& destination_keys);
 
   /// Duplicate suppression for publications on cyclic overlays: marks the
   /// (network-assigned) token as seen and reports whether it was new.
@@ -219,50 +213,28 @@ class Broker {
   [[nodiscard]] const store::SubscriptionStore* forwarded_store(
       BrokerId neighbor) const;
 
-  /// The sharded local match index (tests introspect shard placement).
-  [[nodiscard]] const exec::ShardedStore& match_index() const noexcept {
-    return routed_;
-  }
-
-  // --- publish lanes (staged pipeline support) -------------------------
-  //
-  // The staged publish pipeline (routing/publish_pipeline.hpp) needs the
-  // routed set partitioned BY ORIGIN, so its route stage can classify a
-  // matched id by which lane emitted it instead of looking every id up in
-  // the routing table: local-lane matches ARE the local deliveries, and a
-  // neighbour lane with any match IS a destination. Lanes mirror the
-  // routing table exactly (same inserts/erases), cost one extra copy of
-  // the routed set, and are opt-in for that reason.
-
-  /// Origin-partitioned mirror of the routing table. `local` holds every
-  /// local-origin route (sharded like the match index so pipeline workers
-  /// can own disjoint shards); `neighbor[n]` holds the routes whose
-  /// reverse path points at n. Lanes are coverage-free stores, so the
-  /// match SET per lane is exact and shard-count-invariant.
+  /// The routed set partitioned by reverse-path origin. `local` holds every
+  /// local-origin route, sharded (the constructor's `match_shards`) so
+  /// pipeline workers can own disjoint shards; `neighbor[n]` holds the
+  /// routes whose reverse path points at n. Lanes are coverage-free
+  /// stores, so the match SET per lane is exact and shard-count-invariant.
   struct PublishLanes {
-    std::unique_ptr<exec::ShardedStore> local;
+    exec::ShardedStore local;
     /// Ordered map: lane iteration order is deterministic (ascending
     /// neighbour id). Results do not depend on it — destinations are
     /// ordered by minimum matching id — but the work schedule does.
     std::map<BrokerId, std::unique_ptr<store::SubscriptionStore>> neighbor;
   };
 
-  /// Builds (or rebuilds) the publish lanes from the current routing
-  /// table and keeps them in lockstep with every later mutation.
-  /// `local_shards` partitions the local lane; 0 reuses the match-index
-  /// shard count. Decision-neutral: lanes are a derived mirror.
-  void enable_publish_lanes(std::size_t local_shards = 0);
-
-  /// nullptr until enable_publish_lanes() was called.
-  [[nodiscard]] const PublishLanes* publish_lanes() const noexcept {
-    return lanes_ ? lanes_.get() : nullptr;
+  [[nodiscard]] const PublishLanes& publish_lanes() const noexcept {
+    return lanes_;
   }
 
   /// Complete serializable state of a broker: the routing table (with
   /// reverse-path origins), every per-link forwarded store (full coverage
   /// state incl. engine RNG — see store::SubscriptionStore::Snapshot), and
-  /// the publication dedup tokens. The local match index (`routed_`) is
-  /// derived state and is rebuilt on import. Binary codec:
+  /// the publication dedup tokens. The publish lanes are derived state and
+  /// are rebuilt on import. Binary codec:
   /// wire/snapshot.hpp; framed convenience forms: snapshot()/restore().
   struct Snapshot {
     BrokerId id = kInvalidBroker;
@@ -271,8 +243,8 @@ class Broker {
       Origin origin;
     };
     /// Routing-table entries sorted by subscription id (table order is a
-    /// hash artifact; matching sorts ids before routing, so rebuild order
-    /// is decision-neutral).
+    /// hash artifact; the lanes are coverage-free, so rebuild order is
+    /// decision-neutral).
     std::vector<RouteRecord> routes;
     /// Per-link coverage state, in neighbour order. Links that never
     /// forwarded anything have no entry.
@@ -308,15 +280,14 @@ class Broker {
     core::Subscription sub;
     Origin origin;
   };
-  /// Open-addressing flat map (util::FlatMap): the publication hot path
-  /// looks every matched id up here, and under churn the table itself
-  /// mutates constantly — both want contiguous probes and no node churn.
+  /// Open-addressing flat map (util::FlatMap): under churn the table
+  /// mutates constantly, which wants contiguous probes and no node churn.
   /// insert_batch reserves ahead of admission so RouteEntry pointers stay
   /// stable for the duration of a batch.
   util::FlatMap<core::SubscriptionId, RouteEntry> routing_table_;
 
-  /// Sharded mirror of the routed subscriptions (coverage-free, exact).
-  exec::ShardedStore routed_;
+  /// Origin-partitioned routed set; mirrors routing_table_ exactly.
+  PublishLanes lanes_;
 
   /// Per outgoing link: what we already forwarded there (coverage state).
   std::unordered_map<BrokerId, std::unique_ptr<store::SubscriptionStore>> forwarded_;
@@ -324,24 +295,8 @@ class Broker {
   /// Publication tokens already processed (cycle suppression).
   std::unordered_set<std::uint64_t> seen_publications_;
 
-  /// Per-publication id buffers for the out-parameter match_batch, reused
-  /// across batches (batch calls are exclusive per broker by contract).
-  mutable std::vector<std::vector<core::SubscriptionId>> batch_ids_scratch_;
-
-  /// Origin-partitioned publish lanes; engaged by enable_publish_lanes.
-  std::unique_ptr<PublishLanes> lanes_;
-  std::size_t lane_local_shards_ = 0;
-
   store::SubscriptionStore& forwarded_mutable(BrokerId neighbor);
 
-  /// Maps matching subscription ids (sorted in place) to a
-  /// PublicationRoute via the routing table, honouring the never-send-back
-  /// rule for `origin`. `route`'s vectors are cleared (capacity kept) and
-  /// refilled — the zero-allocation workhorse behind both overloads.
-  void route_matches_into(std::vector<core::SubscriptionId>& ids,
-                          const Origin& origin, PublicationRoute& route) const;
-
-  /// Lane mirror maintenance (no-ops until lanes are enabled).
   void lane_insert(const core::Subscription& sub, const Origin& origin);
   void lane_erase(core::SubscriptionId id, const Origin& origin);
   store::SubscriptionStore& neighbor_lane(BrokerId neighbor);

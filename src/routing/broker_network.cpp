@@ -20,11 +20,8 @@ BrokerNetwork::BrokerNetwork(NetworkConfig config) : config_(config) {}
 
 std::unique_ptr<Broker> BrokerNetwork::make_broker(BrokerId id) const {
   std::uint64_t seed = config_.seed ^ (0x9e3779b97f4a7c15ULL * (id + 1));
-  auto broker = std::make_unique<Broker>(id, config_.store,
-                                         util::splitmix64(seed),
-                                         config_.match_shards);
-  if (config_.pipelined_publish) broker->enable_publish_lanes();
-  return broker;
+  return std::make_unique<Broker>(id, config_.store, util::splitmix64(seed),
+                                  config_.match_shards);
 }
 
 PublishPipeline& BrokerNetwork::ensure_pipeline() {
@@ -743,7 +740,7 @@ std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_same_source(
   // sized up front, never resized below.
   require_alive(broker, "publish_batch");
   std::vector<std::vector<SubscriptionId>> delivered(pubs.size());
-  if (config_.pipelined_publish && !config_.link.enabled) {
+  if (!config_.link.enabled) {
     // Staged path: precompute every source-hop route in one pipeline run
     // (matching never mutates routing state, so batching the matches ahead
     // of the hop effects is decision-neutral), then apply the effects in
@@ -785,7 +782,7 @@ std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_multi_source(
     std::span<const std::pair<BrokerId, Publication>> pubs) {
   for (const auto& [source, pub] : pubs) require_alive(source, "publish_batch");
   std::vector<std::vector<SubscriptionId>> delivered(pubs.size());
-  if (config_.pipelined_publish && !config_.link.enabled) {
+  if (!config_.link.enabled) {
     // Group pair indices per source broker (first-appearance order) so each
     // source needs one pipeline run, then apply the source-hop effects in
     // the original pair order — tokens and the event timeline come out
@@ -980,13 +977,11 @@ std::vector<std::uint8_t> BrokerNetwork::snapshot_all() const {
 void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
   wire::ByteReader in(bytes);
   wire::read_frame_header(in, wire::kNetworkSnapshotMagic, "network");
-  // Pipeline knobs are runtime-only execution policy, not serialized state:
-  // the restored network keeps this incarnation's settings (and its decisions
-  // are identical either way).
-  const bool pipelined = config_.pipelined_publish;
+  // Pipeline sizing is runtime-only execution policy, not serialized state:
+  // the restored network keeps this incarnation's settings (and its
+  // decisions are identical either way).
   const PublishPipelineOptions pipeline_options = config_.pipeline;
   config_ = wire::read_network_config(in);
-  config_.pipelined_publish = pipelined;
   config_.pipeline = pipeline_options;
 
   // Wipe this incarnation. Pending events (TTL timers of the old state)

@@ -33,18 +33,15 @@ struct NetworkConfig {
   store::StoreConfig store;      ///< coverage policy + engine tuning
   sim::SimTime link_latency = 0.001;  ///< seconds per hop
   std::uint64_t seed = 0xfeedbeefULL;
-  /// Shard count of every broker's local publication-match index
-  /// (exec::ShardedStore). Purely a throughput knob: delivery decisions
+  /// Shard count of every broker's local publish lane
+  /// (Broker::PublishLanes). Purely a throughput knob: delivery decisions
   /// are identical for every value (see docs/ARCHITECTURE.md).
   std::size_t match_shards = 1;
-  /// Routes batch publishes through the staged PublishPipeline (every
-  /// broker keeps origin-partitioned publish lanes — one extra copy of
-  /// its routed set). Purely a throughput knob like match_shards:
-  /// delivered sets and message traffic are identical either way.
-  /// Runtime-only: not serialized by snapshot_all and preserved across
-  /// restore_all, mirroring how index runtime knobs are handled.
-  bool pipelined_publish = false;
-  /// Stage sizing for the pipeline (workers/queue depth/batch size).
+  /// Stage sizing of the PublishPipeline that batch publishes on perfect
+  /// links run through (workers/queue depth/batch size). Purely a
+  /// throughput knob: delivered sets and message traffic are identical for
+  /// every value. Runtime-only: not serialized by snapshot_all and
+  /// preserved across restore_all.
   PublishPipelineOptions pipeline;
   /// Reliable-link protocol + fault injection (link.enabled routes every
   /// hop through LinkChannels; disabled = the perfect zero-loss wire, with
@@ -57,7 +54,7 @@ struct NetworkConfig {
   ///   auto config = NetworkConfig::Builder()
   ///                     .seed(42)
   ///                     .link_latency(0.002)
-  ///                     .pipelined(true, pipeline_options)
+  ///                     .pipelined(pipeline_options)
   ///                     .link(link_config)
   ///                     .build();
   ///
@@ -85,10 +82,8 @@ class NetworkConfig::Builder {
     config_.match_shards = value;
     return *this;
   }
-  /// Enables (or disables) the staged publish pipeline, routing its stage
-  /// sizing through in the same call so the two knobs cannot drift apart.
-  Builder& pipelined(bool on, PublishPipelineOptions options = {}) {
-    config_.pipelined_publish = on;
+  /// Stage sizing of the batch publish pipeline.
+  Builder& pipelined(PublishPipelineOptions options) {
     config_.pipeline = options;
     return *this;
   }
@@ -313,8 +308,8 @@ class BrokerNetwork {
   /// request order. Delivered sets are identical to calling the single
   /// form once per publication (publication handling never mutates routing
   /// state); batches are injected at one simulated instant so the combined
-  /// cascade runs once. With config.pipelined_publish the source-hop
-  /// matching of batch shapes runs through the staged PublishPipeline.
+  /// cascade runs once. On perfect links the source-hop matching of batch
+  /// shapes runs through the staged PublishPipeline.
   std::vector<std::vector<core::SubscriptionId>> publish(
       const PublishRequest& request);
 
@@ -428,9 +423,9 @@ class BrokerNetwork {
   /// handler runs, so one network-wide scratch keeps every broker hop
   /// allocation-free once warm.
   Broker::PublishScratch publish_scratch_;
-  /// Shared staged pipeline (config_.pipelined_publish): one pipeline —
-  /// and one set of stage workers — serves every broker, retargeted per
-  /// batch. Built lazily on the first pipelined publish_batch.
+  /// Shared staged pipeline: one pipeline — and one set of stage workers —
+  /// serves every broker, retargeted per batch. Built lazily on the first
+  /// batch publish over perfect links.
   std::unique_ptr<PublishPipeline> pipeline_;
   std::vector<Broker::PublicationRoute> pipeline_routes_;
 

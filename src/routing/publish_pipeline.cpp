@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "util/radix_sort.hpp"
 #include "wire/codec.hpp"
 
 namespace psc::routing {
@@ -63,19 +62,14 @@ void PublishPipeline::ensure_started() {
 }
 
 void PublishPipeline::prepare_job(const Broker& broker, const Origin& origin) {
-  const Broker::PublishLanes* broker_lanes = broker.publish_lanes();
-  if (broker_lanes == nullptr) {
-    throw std::logic_error(
-        "PublishPipeline::run: broker has no publish lanes "
-        "(call Broker::enable_publish_lanes first)");
-  }
+  const Broker::PublishLanes& broker_lanes = broker.publish_lanes();
   lanes_.clear();
-  const exec::ShardedStore& local = *broker_lanes->local;
+  const exec::ShardedStore& local = broker_lanes.local;
   for (std::size_t s = 0; s < local.shard_count(); ++s) {
     lanes_.push_back({&local.shard(s), kInvalidBroker, false});
   }
   local_lane_count_ = lanes_.size();
-  for (const auto& [neighbor, lane] : broker_lanes->neighbor) {
+  for (const auto& [neighbor, lane] : broker_lanes.neighbor) {
     const bool skip = !origin.local && neighbor == origin.neighbor;
     lanes_.push_back({lane.get(), neighbor, skip});
   }
@@ -132,7 +126,7 @@ void PublishPipeline::match_slot_for_worker(Slot& slot, std::size_t worker) {
   }
 }
 
-void PublishPipeline::route_slot(const Slot& slot, const Origin& origin,
+void PublishPipeline::route_slot(const Slot& slot,
                                  Broker::PublicationRoute* out) {
   const std::size_t neighbor_lanes = lanes_.size() - local_lane_count_;
   for (std::size_t p = 0; p < slot.count; ++p) {
@@ -143,12 +137,8 @@ void PublishPipeline::route_slot(const Slot& slot, const Origin& origin,
       route.local_matches.insert(route.local_matches.end(), ids.begin(),
                                  ids.end());
     }
-    // One radix pass replaces the sequential path's two comparison sorts
-    // (per-shard sort in the store + global re-sort in the route step).
-    util::radix_sort_u64(route.local_matches, sort_scratch_);
-
-    // Destinations in ascending-minimum-matching-id order == the
-    // sequential path's first-match order over ascending ids.
+    // Never-send-back was already applied via LaneRef::skip: the origin's
+    // lane reports no match.
     dest_scratch_.clear();
     for (std::size_t n = 0; n < neighbor_lanes; ++n) {
       const SubscriptionId min_id =
@@ -157,12 +147,7 @@ void PublishPipeline::route_slot(const Slot& slot, const Origin& origin,
       dest_scratch_.emplace_back(min_id,
                                  lanes_[local_lane_count_ + n].neighbor);
     }
-    std::sort(dest_scratch_.begin(), dest_scratch_.end());
-    route.destinations.clear();
-    for (const auto& [min_id, neighbor] : dest_scratch_) {
-      route.destinations.push_back(neighbor);
-    }
-    (void)origin;  // never-send-back already applied via LaneRef::skip
+    Broker::assemble_route(route, sort_scratch_, dest_scratch_);
   }
 }
 
@@ -187,7 +172,7 @@ void PublishPipeline::run(const Broker& broker,
       fill_slot(slot, pubs.data() + base,
                 std::min(batch, pubs.size() - base));
       for (std::size_t l = 0; l < lanes_.size(); ++l) match_lane(slot, l);
-      route_slot(slot, origin, out.data() + base);
+      route_slot(slot, out.data() + base);
     }
     return;
   }
@@ -217,7 +202,7 @@ void PublishPipeline::run(const Broker& broker,
         throw std::logic_error("PublishPipeline: completion ring disorder");
       }
     }
-    route_slot(slots_[expect], origin, out.data() + completed * batch);
+    route_slot(slots_[expect], out.data() + completed * batch);
     ++completed;
   }
 }

@@ -1,15 +1,10 @@
-// PublishPipeline — the broker's staged publish runtime.
+// PublishPipeline — the broker's staged batch publish runtime.
 //
-// The sequential publish path (Broker::handle_publication) matches a
-// publication against the whole routed set, sorts the matched ids, and
-// looks every id up in the routing table to classify it (local delivery vs
-// which neighbour to forward to). At 100k routed subscriptions that
-// classification loop — a comparison sort of ~10k ids plus ~10k flat-map
-// probes into cache-hostile RouteEntry values — costs roughly 2/3 of the
-// publish (measured in bench/perf_gate's broker fixture).
-//
-// The pipeline removes the classification loop structurally. It consumes
-// the broker's origin-partitioned publish lanes (Broker::PublishLanes):
+// Every Broker keeps its routed set as origin-partitioned publish lanes
+// (Broker::PublishLanes): the local lane (sharded) and one lane per
+// neighbour. Broker::handle_publication stabs the lanes for one
+// publication on the caller's thread; the pipeline does the same work for
+// a batch, split into stages:
 //
 //             ┌ decode ┐   ┌─ match ─┐   ┌ route ┐   ┌ encode ┐
 //   frames ──▶│ caller │──▶│ workers │──▶│ caller│──▶│ caller │──▶ routes
@@ -23,10 +18,10 @@
 //     neighbour lanes, round-robin) and stabs its lanes for every
 //     publication of the slot. Because a lane is touched by exactly one
 //     worker, per-store query scratch needs no locks.
-//   * route: the caller merges the local-lane matches, radix-sorts them
-//     once (util/radix_sort.hpp), and orders destinations by each
-//     neighbour lane's minimum matching id — which IS the sequential
-//     path's first-match order over ascending ids.
+//   * route: the caller merges the local-lane matches and hands them, with
+//     each neighbour lane's minimum matching id, to Broker::assemble_route
+//     — the one place the route-ordering rule lives, shared with
+//     handle_publication.
 //   * encode: routes → wire frames (run_encoded only).
 //
 // Cross-publication batching: publications move through the stages in
@@ -34,20 +29,19 @@
 // buffers, sort scratch, and the caller's route vectors are all reused, so
 // a warm steady-state batch allocates nothing on the match/route path.
 //
-// Determinism contract (property-tested in tests/pipeline_test.cpp,
-// including under TSan): for every publication, the produced
-// PublicationRoute is decision-for-decision identical — same
-// local_matches, same destinations, same ORDER — to sequential
+// Determinism contract (property-tested in tests/pipeline_test.cpp against
+// a flat-scan reference, including under TSan): for every publication, the
+// produced PublicationRoute is decision-for-decision identical — same
+// local_matches, same destinations, same ORDER — to
 // Broker::handle_publication, for every worker count, queue depth, batch
-// size, and lane shard count. Matching never mutates routing state, so
-// pipelined batches interleave with membership events exactly like
-// sequential calls (tests/pipeline_churn_test.cpp).
+// size, and local-lane shard count. Matching never mutates routing state,
+// so pipelined batches interleave with membership events exactly like
+// single-publication calls (tests/pipeline_churn_test.cpp).
 //
 // Worker sizing: `workers == 0` runs every stage inline on the caller
 // thread — the configuration a one-core host gets from kAuto, where the
-// pipeline's win is the lane/radix route stage and cross-publication
-// batching, not parallelism. Threads are started lazily on first use and
-// parked on their rings between runs.
+// pipeline's win is cross-publication batching, not parallelism. Threads
+// are started lazily on first use and parked on their rings between runs.
 //
 // Concurrency contract: a PublishPipeline is externally single-threaded
 // (one run() at a time), like the Broker it drives. One pipeline may
@@ -103,8 +97,7 @@ class PublishPipeline {
   /// Routes every publication of `pubs` (all arriving from `origin`)
   /// through the staged pipeline against `broker`'s publish lanes.
   /// `out` is resized to pubs.size(); route vectors are overwritten in
-  /// place (capacity kept). Requires broker.publish_lanes() != nullptr
-  /// (throws std::logic_error otherwise).
+  /// place (capacity kept).
   void run(const Broker& broker, std::span<const core::Publication> pubs,
            const Origin& origin, std::vector<Broker::PublicationRoute>& out);
 
@@ -151,8 +144,7 @@ class PublishPipeline {
   void fill_slot(Slot& slot, const core::Publication* pubs, std::size_t count);
   void match_lane(Slot& slot, std::size_t lane_index);
   void match_slot_for_worker(Slot& slot, std::size_t worker);
-  void route_slot(const Slot& slot, const Origin& origin,
-                  Broker::PublicationRoute* out);
+  void route_slot(const Slot& slot, Broker::PublicationRoute* out);
   void ensure_started();
 
   PublishPipelineOptions options_;
@@ -173,7 +165,7 @@ class PublishPipeline {
   exec::StageSet stages_;
   bool started_ = false;
 
-  /// Route-stage radix scratch.
+  /// Route-stage sort scratch (Broker::assemble_route).
   std::vector<core::SubscriptionId> sort_scratch_;
   /// Destination ordering scratch: (min matching id, neighbour).
   std::vector<std::pair<core::SubscriptionId, BrokerId>> dest_scratch_;

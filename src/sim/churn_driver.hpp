@@ -164,7 +164,7 @@ class ChurnDriver {
     bool differential = false;
     /// Coalesce runs of consecutive publish ops into one multi-source
     /// BrokerNetwork::publish_batch call — the staged-pipeline entry point
-    /// when the network is configured with NetworkConfig::pipelined_publish.
+    /// on perfect links.
     /// Both replicas settle at the batch's last op time before the batch
     /// fires (so TTL expiries stay in lockstep), and the differential check
     /// still runs op for op against the oracle. Batches never span an epoch

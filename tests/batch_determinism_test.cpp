@@ -13,9 +13,11 @@
 //      publication. For a coverage-free store matching is exact and
 //      partition-independent, so this holds with equality.
 //
-//   3. Broker batch APIs reproduce their sequential counterparts:
+//   3. Broker batch paths reproduce their sequential counterparts:
 //      insert_batch == handle_subscription loop (forward lists, link-store
-//      states, suppression counts), match_batch == handle_publication loop.
+//      states, suppression counts), and PublishPipeline::run over a
+//      worker pool routes every publication exactly like a flat scan over
+//      the routed (subscription, origin) pairs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,8 +27,9 @@
 
 #include "exec/sharded_store.hpp"
 #include "exec/thread_pool.hpp"
-#include "match/sharded_matcher.hpp"
+#include "route_reference.hpp"
 #include "routing/broker.hpp"
+#include "routing/publish_pipeline.hpp"
 #include "store/subscription_store.hpp"
 #include "workload/comparison_stream.hpp"
 #include "workload/publications.hpp"
@@ -166,10 +169,11 @@ TEST(MatchBatchDeterminism, ShardCountsAgreeWithSequentialStore) {
   }
 }
 
-// Same property through the notification layer: ShardedMatcher's matched
-// sets and destination fan-out are shard-count-invariant and agree with
-// the sequential Matcher.
-TEST(MatchBatchDeterminism, ShardedMatcherNotificationsMatchSequentialMatcher) {
+// Same property through the notification step: the matched sets and the
+// destination fan-out (each subscription owned by one of five neighbours)
+// of a sharded coverage-free store are shard-count-invariant and agree
+// with a flat scan over the (subscription, neighbour) pairs.
+TEST(MatchBatchDeterminism, ShardedStoreNotificationsMatchFlatScan) {
   workload::ComparisonConfig stream_config;
   stream_config.attribute_count = 6;
   std::vector<Subscription> subs;
@@ -184,41 +188,51 @@ TEST(MatchBatchDeterminism, ShardedMatcherNotificationsMatchSequentialMatcher) {
                                                  0.0, 1000.0, pub_rng));
   }
 
+  const auto owner = [](SubscriptionId id) {
+    return static_cast<routing::BrokerId>(id % 5);
+  };
+  routing::RouteReference reference;
+  for (const Subscription& sub : subs) {
+    reference.insert(sub, routing::Origin{false, owner(sub.id())});
+  }
+
   store::StoreConfig flat_config;
   flat_config.policy = store::CoveragePolicy::kNone;
   flat_config.demote_covered_actives = false;
-  match::Matcher matcher(flat_config, 1);
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    (void)matcher.subscribe(subs[i],
-                            static_cast<match::NeighborId>(i % 5));
-  }
-
   ThreadPool pool(2);
   for (const std::size_t shards : {1UL, 2UL, 8UL}) {
     ShardConfig config;
     config.shard_count = shards;
     config.store = flat_config;
-    match::ShardedMatcher sharded(config, 1, &pool);
-    for (std::size_t i = 0; i < subs.size(); ++i) {
-      (void)sharded.subscribe(subs[i], static_cast<match::NeighborId>(i % 5));
-    }
-    const auto outcomes = sharded.match_batch(pubs);
-    ASSERT_EQ(outcomes.size(), pubs.size());
+    ShardedStore sharded(config, 1);
+    (void)sharded.insert_batch(subs, &pool);
+    const auto batched = sharded.match_active_batch(pubs, &pool);
+    ASSERT_EQ(batched.size(), pubs.size());
     for (std::size_t i = 0; i < pubs.size(); ++i) {
-      auto expected = matcher.match(pubs[i]);
-      std::sort(expected.matched.begin(), expected.matched.end());
-      std::sort(expected.destinations.begin(), expected.destinations.end());
-      auto destinations = outcomes[i].destinations;
-      std::sort(destinations.begin(), destinations.end());
-      EXPECT_EQ(outcomes[i].matched, expected.matched)
-          << "shards=" << shards << " pub=" << i;
+      auto matched = batched[i];
+      std::sort(matched.begin(), matched.end());
+      std::vector<routing::BrokerId> destinations;
+      for (const SubscriptionId id : matched) {
+        if (std::find(destinations.begin(), destinations.end(), owner(id)) ==
+            destinations.end()) {
+          destinations.push_back(owner(id));
+        }
+      }
+      const routing::Broker::PublicationRoute expected =
+          reference.route(pubs[i], routing::Origin{true, routing::kInvalidBroker});
+      std::vector<SubscriptionId> expected_matched;
+      for (const Subscription& sub : subs) {
+        if (pubs[i].matches(sub)) expected_matched.push_back(sub.id());
+      }
+      std::sort(expected_matched.begin(), expected_matched.end());
+      EXPECT_EQ(matched, expected_matched) << "shards=" << shards << " pub=" << i;
       EXPECT_EQ(destinations, expected.destinations)
           << "shards=" << shards << " pub=" << i;
     }
   }
 }
 
-// Property 3: broker batch entry points reproduce sequential handling.
+// Property 3: broker batch paths reproduce sequential handling.
 TEST(BrokerBatchDeterminism, InsertAndMatchBatchesReproduceSequentialBroker) {
   workload::ComparisonConfig stream_config;
   stream_config.attribute_count = 4;
@@ -250,6 +264,7 @@ TEST(BrokerBatchDeterminism, InsertAndMatchBatchesReproduceSequentialBroker) {
     sequential.add_neighbor(n);
     batched.add_neighbor(n);
   }
+  routing::RouteReference reference;
 
   // Three batches with distinct origins, so matching later exercises both
   // local delivery and reverse-path destinations (including the
@@ -271,6 +286,7 @@ TEST(BrokerBatchDeterminism, InsertAndMatchBatchesReproduceSequentialBroker) {
     for (const auto& sub : slice) {
       expected_forwards.push_back(
           sequential.handle_subscription(sub, origin, &suppressed_sequential));
+      reference.insert(sub, origin);
     }
     const auto forwards =
         batched.insert_batch(slice, origin, &pool, &suppressed_batched);
@@ -287,21 +303,21 @@ TEST(BrokerBatchDeterminism, InsertAndMatchBatchesReproduceSequentialBroker) {
               sequential.forwarded_store(n)->covered_count());
   }
 
+  // Matching through the staged pipeline, sized like the pool: both
+  // brokers route every publication like the flat scan.
+  routing::PublishPipelineOptions pipeline_options;
+  pipeline_options.workers = pool.worker_count();
+  routing::PublishPipeline pipeline(pipeline_options);
   const routing::Origin from_link{false, 2};
-  const auto routes = batched.match_batch(pubs, from_link, &pool);
-  ASSERT_EQ(routes.size(), pubs.size());
-  for (std::size_t i = 0; i < pubs.size(); ++i) {
-    std::vector<SubscriptionId> expected_local;
-    const auto expected_destinations =
-        sequential.handle_publication(pubs[i], from_link, expected_local);
-    EXPECT_EQ(routes[i].local_matches, expected_local) << i;
-    EXPECT_EQ(routes[i].destinations, expected_destinations) << i;
-    // And the batch path equals the same broker's own sequential path.
-    std::vector<SubscriptionId> own_local;
-    const auto own_destinations =
-        batched.handle_publication(pubs[i], from_link, own_local);
-    EXPECT_EQ(routes[i].local_matches, own_local) << i;
-    EXPECT_EQ(routes[i].destinations, own_destinations) << i;
+  for (const routing::Broker* broker : {&batched, &sequential}) {
+    std::vector<routing::Broker::PublicationRoute> routes;
+    pipeline.run(*broker, pubs, from_link, routes);
+    ASSERT_EQ(routes.size(), pubs.size());
+    for (std::size_t i = 0; i < pubs.size(); ++i) {
+      const auto expected = reference.route(pubs[i], from_link);
+      EXPECT_EQ(routes[i].local_matches, expected.local_matches) << i;
+      EXPECT_EQ(routes[i].destinations, expected.destinations) << i;
+    }
   }
 }
 

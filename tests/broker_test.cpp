@@ -1,6 +1,7 @@
 // Direct unit tests for the Broker node logic (routing table, per-link
-// coverage state, duplicate suppression) independent of the network/event
-// machinery.
+// coverage state, duplicate suppression, publication routing over the
+// publish lanes — the paper's Algorithm 5 notification step) independent
+// of the network/event machinery.
 #include "routing/broker.hpp"
 
 #include <gtest/gtest.h>
@@ -76,28 +77,91 @@ TEST(Broker, CoverageSuppressesPerLink) {
   EXPECT_EQ(link->covered_count(), 1u);
 }
 
+const Origin kLocal{true, kInvalidBroker};
+
 TEST(Broker, PublicationRoutedAlongReversePaths) {
   Broker broker = make_broker({1, 2, 3});
   (void)broker.handle_subscription(box2(0, 10, 0, 10, 1), Origin{false, 1});
   (void)broker.handle_subscription(box2(20, 30, 0, 10, 2), Origin{false, 2});
-  (void)broker.handle_subscription(box2(0, 5, 0, 5, 3), Origin{true, kInvalidBroker});
+  (void)broker.handle_subscription(box2(0, 5, 0, 5, 3), kLocal);
 
-  std::vector<SubscriptionId> local;
-  auto destinations =
-      broker.handle_publication(Publication({3.0, 3.0}), Origin{false, 3}, local);
-  std::sort(destinations.begin(), destinations.end());
-  EXPECT_EQ(destinations, (std::vector<BrokerId>{1}));
-  EXPECT_EQ(local, (std::vector<SubscriptionId>{3}));
+  Broker::PublishScratch scratch;
+  const auto& route =
+      broker.handle_publication(Publication({3.0, 3.0}), Origin{false, 3}, scratch);
+  EXPECT_EQ(route.destinations, (std::vector<BrokerId>{1}));
+  EXPECT_EQ(route.local_matches, (std::vector<SubscriptionId>{3}));
 }
 
 TEST(Broker, PublicationNeverSentBackToOrigin) {
   Broker broker = make_broker({1, 2});
   (void)broker.handle_subscription(box2(0, 10, 0, 10, 1), Origin{false, 1});
-  std::vector<SubscriptionId> local;
-  const auto destinations =
-      broker.handle_publication(Publication({5.0, 5.0}), Origin{false, 1}, local);
-  EXPECT_TRUE(destinations.empty());
-  EXPECT_TRUE(local.empty());
+  Broker::PublishScratch scratch;
+  const auto& route =
+      broker.handle_publication(Publication({5.0, 5.0}), Origin{false, 1}, scratch);
+  EXPECT_TRUE(route.destinations.empty());
+  EXPECT_TRUE(route.local_matches.empty());
+}
+
+TEST(Broker, PublicationDeliveredToLocalSubscribersOnly) {
+  Broker broker = make_broker({1});
+  (void)broker.handle_subscription(box2(0, 10, 0, 10, 1), kLocal);
+  Broker::PublishScratch scratch;
+  const auto& route =
+      broker.handle_publication(Publication({5.0, 5.0}), kLocal, scratch);
+  EXPECT_EQ(route.local_matches, (std::vector<SubscriptionId>{1}));
+  EXPECT_TRUE(route.destinations.empty());
+}
+
+TEST(Broker, PublicationMatchingNothingGoesNowhere) {
+  Broker broker = make_broker({1});
+  (void)broker.handle_subscription(box2(0, 10, 0, 10, 1), Origin{false, 1});
+  (void)broker.handle_subscription(box2(0, 10, 0, 10, 2), kLocal);
+  Broker::PublishScratch scratch;
+  const auto& route =
+      broker.handle_publication(Publication({50.0, 50.0}), kLocal, scratch);
+  EXPECT_TRUE(route.local_matches.empty());
+  EXPECT_TRUE(route.destinations.empty());
+}
+
+TEST(Broker, CoveredSubscriptionStillNotified) {
+  // #2 is covered by #1 on the link store (never forwarded), but coverage
+  // only prunes forwarding: both local subscribers get the publication.
+  Broker broker = make_broker({1});
+  std::uint64_t suppressed = 0;
+  (void)broker.handle_subscription(box2(0, 10, 0, 10, 1), kLocal, &suppressed);
+  (void)broker.handle_subscription(box2(2, 8, 2, 8, 2), kLocal, &suppressed);
+  ASSERT_EQ(suppressed, 1u);
+  Broker::PublishScratch scratch;
+  const auto& route =
+      broker.handle_publication(Publication({5.0, 5.0}), Origin{false, 1}, scratch);
+  EXPECT_EQ(route.local_matches, (std::vector<SubscriptionId>{1, 2}));
+}
+
+TEST(Broker, DestinationsOrderedByFirstMatchingId) {
+  // Each matching neighbour appears once, ordered by its smallest matching
+  // id — here neighbour 9 owns id 1 and neighbour 7 owns ids 2 and 3.
+  Broker broker = make_broker({7, 9});
+  (void)broker.handle_subscription(box2(2, 8, 2, 8, 1), Origin{false, 9});
+  (void)broker.handle_subscription(box2(0, 10, 0, 10, 2), Origin{false, 7});
+  (void)broker.handle_subscription(box2(4, 6, 4, 6, 3), Origin{false, 7});
+  Broker::PublishScratch scratch;
+  const auto& route =
+      broker.handle_publication(Publication({5.0, 5.0}), kLocal, scratch);
+  EXPECT_EQ(route.destinations, (std::vector<BrokerId>{9, 7}));
+  EXPECT_TRUE(route.local_matches.empty());
+}
+
+TEST(Broker, UnsubscriptionStopsMatching) {
+  Broker broker = make_broker({1});
+  (void)broker.handle_subscription(box2(0, 10, 0, 10, 1), kLocal);
+  (void)broker.handle_subscription(box2(0, 10, 0, 10, 2), Origin{false, 1});
+  (void)broker.handle_unsubscription(1, kLocal);
+  (void)broker.handle_unsubscription(2, Origin{false, 1});
+  Broker::PublishScratch scratch;
+  const auto& route =
+      broker.handle_publication(Publication({5.0, 5.0}), kLocal, scratch);
+  EXPECT_TRUE(route.local_matches.empty());
+  EXPECT_TRUE(route.destinations.empty());
 }
 
 TEST(Broker, UnsubscriptionOnlyToLinksThatCarriedIt) {

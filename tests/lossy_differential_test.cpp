@@ -221,7 +221,6 @@ TEST(LossyDifferential, ReportRecordsCoalescingRefusal) {
 
   NetworkConfig perfect;
   perfect.link_latency = kLatency;
-  perfect.pipelined_publish = true;
   auto perfect_net = topology.build(perfect);
   const auto piped = sim::ChurnDriver::run(perfect_net, trace, options);
   EXPECT_EQ(piped.publish_coalescing, "pipelined");

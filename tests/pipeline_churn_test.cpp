@@ -1,5 +1,5 @@
 // Pipelined publish under membership churn: the BrokerNetwork pipelined
-// batch path (NetworkConfig::pipelined_publish) must deliver exactly what
+// batch path (NetworkConfig::pipeline) must deliver exactly what
 // the sequential injection path delivers — across multi-source batches,
 // crash/partition events interleaved between batches (component-aware
 // expected_recipients as ground truth), the ChurnDriver's publish
@@ -33,7 +33,6 @@ Subscription box(SubscriptionId id, double lo, double hi) {
 NetworkConfig pipelined_config(std::size_t workers = 2) {
   NetworkConfig config;
   config.seed = 7;
-  config.pipelined_publish = true;
   config.pipeline.workers = workers;
   config.pipeline.batch_size = 3;  // small => slot recycling under test
   config.pipeline.queue_depth = 2;

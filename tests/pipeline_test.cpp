@@ -1,9 +1,9 @@
 // Property tests for the staged publish pipeline
-// (routing/publish_pipeline.hpp): decision-for-decision equality with the
-// sequential Broker::handle_publication path across the full knob grid
+// (routing/publish_pipeline.hpp): decision-for-decision equality with a
+// flat-scan reference (tests/route_reference.hpp) across the full knob grid
 // (worker count × batch size × queue depth × lane shard count × origin),
-// equality across routing-table mutations (the lane mirror), the route
-// frame codec, and the zero-allocation inline steady state. This file is
+// equality across routing-table mutations (the lanes track the table), the
+// route frame codec, and the zero-allocation inline steady state. This file is
 // in the TSan label set: the threaded grid cells drive the slot rings
 // cross-thread exactly as production does.
 #include <gtest/gtest.h>
@@ -12,11 +12,11 @@
 #include <cstdlib>
 #include <new>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "routing/broker.hpp"
 #include "routing/publish_pipeline.hpp"
+#include "route_reference.hpp"
 #include "wire/byte_buffer.hpp"
 #include "wire/codec.hpp"
 #include "workload/comparison_stream.hpp"
@@ -39,10 +39,16 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return operator new(size); }
 
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+// Out of line: GCC 12 otherwise inlines free() into callers whose pointer
+// it saw come from operator new, and warns -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* ptr) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete[](void* ptr) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete(void* ptr, std::size_t) noexcept {
+  std::free(ptr);
+}
+[[gnu::noinline]] void operator delete[](void* ptr, std::size_t) noexcept {
+  std::free(ptr);
+}
 
 namespace psc::routing {
 namespace {
@@ -67,13 +73,15 @@ class AllocationGuard {
 constexpr std::size_t kAttrs = 4;
 
 struct Fixture {
-  Broker broker{0, store::StoreConfig{}, 2006, /*match_shards=*/1};
+  Broker broker;
+  RouteReference reference;
   std::vector<Subscription> subs;
   std::vector<Origin> origins;
   std::vector<Publication> pubs;
 
   explicit Fixture(std::size_t actives, std::size_t probe_count,
-                   std::uint64_t seed = 2006) {
+                   std::size_t match_shards = 1, std::uint64_t seed = 2006)
+      : broker(0, store::StoreConfig{}, 2006, match_shards) {
     broker.add_neighbor(1);
     broker.add_neighbor(2);
     workload::ComparisonConfig stream_config;
@@ -87,7 +95,7 @@ struct Fixture {
       if (draw == 1) origin = Origin{false, 1};
       if (draw == 2) origin = Origin{false, 2};
       Subscription sub = stream.next();
-      (void)broker.handle_subscription(sub, origin);
+      subscribe(sub, origin);
       subs.push_back(std::move(sub));
       origins.push_back(origin);
     }
@@ -97,22 +105,28 @@ struct Fixture {
           workload::uniform_publication(kAttrs, 0.0, 1000.0, probe_rng));
     }
   }
+
+  void subscribe(const Subscription& sub, const Origin& origin) {
+    (void)broker.handle_subscription(sub, origin);
+    reference.insert(sub, origin);
+  }
 };
 
 /// One full equality sweep: every probe, from a local and a neighbour
-/// origin, pipeline vs sequential. Route ORDER is part of the contract.
+/// origin, pipeline vs the flat-scan reference. Route ORDER is part of the
+/// contract.
 void expect_equal_decisions(PublishPipeline& pipeline, const Broker& broker,
+                            const RouteReference& reference,
                             const std::vector<Publication>& pubs,
                             const std::string& what) {
-  Broker::PublishScratch scratch;
   std::vector<Broker::PublicationRoute> routes;
   for (const Origin& origin :
        {Origin{true, kInvalidBroker}, Origin{false, 1}, Origin{false, 2}}) {
     pipeline.run(broker, pubs, origin, routes);
     ASSERT_EQ(routes.size(), pubs.size());
     for (std::size_t p = 0; p < pubs.size(); ++p) {
-      const Broker::PublicationRoute& expected =
-          broker.handle_publication(pubs[p], origin, scratch);
+      const Broker::PublicationRoute expected =
+          reference.route(pubs[p], origin);
       ASSERT_EQ(routes[p].local_matches, expected.local_matches)
           << what << " pub " << p << " origin "
           << (origin.local ? -1 : static_cast<int>(origin.neighbor));
@@ -123,13 +137,23 @@ void expect_equal_decisions(PublishPipeline& pipeline, const Broker& broker,
   }
 }
 
-TEST(PublishPipeline, RequiresPublishLanes) {
-  Fixture fx(10, 1);
+TEST(PublishPipeline, LanesExistFromConstruction) {
+  // Every broker routes through its lanes from construction on: a fresh
+  // broker routes nothing, and the first routes are visible at once.
+  Broker broker(0, store::StoreConfig{}, 2006);
+  broker.add_neighbor(1);
   PublishPipeline pipeline;
   std::vector<Broker::PublicationRoute> routes;
-  EXPECT_THROW(pipeline.run(fx.broker, fx.pubs,
-                            Origin{true, kInvalidBroker}, routes),
-               std::logic_error);
+  const std::vector<Publication> pubs = {Publication({5.0, 5.0})};
+  pipeline.run(broker, pubs, Origin{true, kInvalidBroker}, routes);
+  ASSERT_EQ(routes.size(), 1u);
+  EXPECT_TRUE(routes[0].local_matches.empty());
+  EXPECT_TRUE(routes[0].destinations.empty());
+
+  (void)broker.handle_subscription(
+      Subscription({{0.0, 10.0}, {0.0, 10.0}}, 1), Origin{false, 1});
+  pipeline.run(broker, pubs, Origin{true, kInvalidBroker}, routes);
+  EXPECT_EQ(routes[0].destinations, (std::vector<BrokerId>{1}));
 }
 
 TEST(PublishPipeline, AutoWorkersResolveFromHardware) {
@@ -142,10 +166,9 @@ TEST(PublishPipeline, AutoWorkersResolveFromHardware) {
 
 TEST(PublishPipeline, DecisionEqualAcrossKnobGrid) {
   // The determinism contract, exhaustively: every knob combination must
-  // reproduce the sequential path decision for decision, in order.
-  Fixture fx(1200, 24);
+  // reproduce the reference decision for decision, in order.
   for (const std::size_t local_shards : {1UL, 4UL}) {
-    fx.broker.enable_publish_lanes(local_shards);
+    Fixture fx(1200, 24, local_shards);
     for (const std::size_t workers : {0UL, 1UL, 3UL}) {
       for (const std::size_t batch : {1UL, 3UL, 16UL}) {
         for (const std::size_t depth : {1UL, 4UL}) {
@@ -155,7 +178,7 @@ TEST(PublishPipeline, DecisionEqualAcrossKnobGrid) {
           options.queue_depth = depth;
           PublishPipeline pipeline(options);
           expect_equal_decisions(
-              pipeline, fx.broker, fx.pubs,
+              pipeline, fx.broker, fx.reference, fx.pubs,
               "shards=" + std::to_string(local_shards) + " workers=" +
                   std::to_string(workers) + " batch=" + std::to_string(batch) +
                   " depth=" + std::to_string(depth));
@@ -166,15 +189,15 @@ TEST(PublishPipeline, DecisionEqualAcrossKnobGrid) {
 }
 
 TEST(PublishPipeline, DecisionEqualAcrossTableMutations) {
-  // The lane mirror must track unsubscription and expiry; equality is
+  // The lanes must track unsubscription and expiry; equality is
   // re-checked after each mutation wave through one reused pipeline.
-  Fixture fx(800, 16);
-  fx.broker.enable_publish_lanes(2);
+  Fixture fx(800, 16, /*match_shards=*/2);
   PublishPipelineOptions options;
   options.workers = 2;
   options.batch_size = 4;
   PublishPipeline pipeline(options);
-  expect_equal_decisions(pipeline, fx.broker, fx.pubs, "initial");
+  expect_equal_decisions(pipeline, fx.broker, fx.reference, fx.pubs,
+                         "initial");
 
   // Wave 1: unsubscribe every 3rd id (unsubscriptions arrive from the
   // route's own reverse path in production; the origin only prunes
@@ -182,15 +205,19 @@ TEST(PublishPipeline, DecisionEqualAcrossTableMutations) {
   for (std::size_t i = 0; i < fx.subs.size(); i += 3) {
     (void)fx.broker.handle_unsubscription(fx.subs[i].id(),
                                           Origin{true, kInvalidBroker});
+    fx.reference.erase(fx.subs[i].id());
   }
-  expect_equal_decisions(pipeline, fx.broker, fx.pubs, "after unsubscribe");
+  expect_equal_decisions(pipeline, fx.broker, fx.reference, fx.pubs,
+                         "after unsubscribe");
 
   // Wave 2: expire every 7th surviving id.
   for (std::size_t i = 1; i < fx.subs.size(); i += 7) {
     if (i % 3 == 0) continue;  // already gone
     (void)fx.broker.handle_expiry(fx.subs[i].id());
+    fx.reference.erase(fx.subs[i].id());
   }
-  expect_equal_decisions(pipeline, fx.broker, fx.pubs, "after expiry");
+  expect_equal_decisions(pipeline, fx.broker, fx.reference, fx.pubs,
+                         "after expiry");
 
   // Wave 3: fresh arrivals on every origin.
   workload::ComparisonConfig stream_config;
@@ -198,19 +225,23 @@ TEST(PublishPipeline, DecisionEqualAcrossTableMutations) {
   stream_config.max_constrained = 3;
   workload::ComparisonStream stream(stream_config, 777);
   for (std::size_t i = 0; i < 300; ++i) {
-    const Origin origin = fx.origins[i % fx.origins.size()];
-    (void)fx.broker.handle_subscription(stream.next(), origin);
+    fx.subscribe(stream.next(), fx.origins[i % fx.origins.size()]);
   }
-  expect_equal_decisions(pipeline, fx.broker, fx.pubs, "after resubscribe");
+  expect_equal_decisions(pipeline, fx.broker, fx.reference, fx.pubs,
+                         "after resubscribe");
 }
 
-TEST(PublishPipeline, LanesEnabledOnPopulatedBrokerMatchSequential) {
-  // enable_publish_lanes after the table is already populated must rebuild
-  // an equivalent mirror (restore_all and late enablement both hit this).
+TEST(PublishPipeline, LanesRebuiltFromSnapshotMatchReference) {
+  // Importing a populated routing table must rebuild equivalent lanes
+  // (restore_all and crash recovery both hit this).
   Fixture fx(1000, 16);
-  fx.broker.enable_publish_lanes();
+  Broker restored(0, store::StoreConfig{}, 2006);
+  restored.add_neighbor(1);
+  restored.add_neighbor(2);
+  restored.import_snapshot(fx.broker.export_snapshot());
   PublishPipeline pipeline;
-  expect_equal_decisions(pipeline, fx.broker, fx.pubs, "late enable");
+  expect_equal_decisions(pipeline, restored, fx.reference, fx.pubs,
+                         "restored");
 }
 
 TEST(PublishPipeline, RouteFrameCodecRoundTrips) {
@@ -229,7 +260,6 @@ TEST(PublishPipeline, RouteFrameCodecRoundTrips) {
 
 TEST(PublishPipeline, RunEncodedMatchesRunThroughWireFrames) {
   Fixture fx(600, 12);
-  fx.broker.enable_publish_lanes();
   PublishPipeline pipeline;
   std::vector<std::vector<std::uint8_t>> frames;
   for (const Publication& pub : fx.pubs) {
@@ -263,8 +293,7 @@ TEST(PublishPipeline, InlineSteadyStateDoesNotAllocate) {
   // over the same batch, the match + route stages must be allocation-free
   // — slot buffers, lane scratch, radix scratch, and the caller's route
   // vectors are all reused.
-  Fixture fx(2000, 32);
-  fx.broker.enable_publish_lanes(2);
+  Fixture fx(2000, 32, /*match_shards=*/2);
   PublishPipelineOptions options;
   options.workers = 0;
   options.batch_size = 8;
@@ -283,13 +312,11 @@ TEST(PublishPipeline, StreamingReuseAcrossManySmallRuns) {
   // The BrokerNetwork shares one pipeline across brokers and calls it once
   // per batch; repeated runs with varying sizes must stay correct.
   Fixture fx(500, 23);
-  fx.broker.enable_publish_lanes();
   PublishPipelineOptions options;
   options.workers = 2;
   options.batch_size = 3;
   options.queue_depth = 2;
   PublishPipeline pipeline(options);
-  Broker::PublishScratch scratch;
   std::vector<Broker::PublicationRoute> routes;
   const Origin origin{false, 1};
   for (std::size_t start = 0; start < fx.pubs.size(); ++start) {
@@ -299,8 +326,7 @@ TEST(PublishPipeline, StreamingReuseAcrossManySmallRuns) {
                  std::span<const Publication>(fx.pubs.data() + start, n),
                  origin, routes);
     for (std::size_t p = 0; p < n; ++p) {
-      const auto& expected =
-          fx.broker.handle_publication(fx.pubs[start + p], origin, scratch);
+      const auto expected = fx.reference.route(fx.pubs[start + p], origin);
       ASSERT_EQ(routes[p].local_matches, expected.local_matches);
       ASSERT_EQ(routes[p].destinations, expected.destinations);
     }

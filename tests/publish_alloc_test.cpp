@@ -2,8 +2,8 @@
 // publication performs ZERO heap allocations through every layer —
 // IntervalIndex::stab into a reused buffer, the SubscriptionStore /
 // ShardedStore out-parameter match overloads, and
-// Broker::handle_publication with caller-owned PublishScratch (flat-map
-// routing-table lookups included).
+// Broker::handle_publication over the publish lanes with caller-owned
+// PublishScratch.
 //
 // Counting is done by overriding the global allocation functions for this
 // test binary (same harness as tests/workspace_alloc_test.cpp). The
@@ -15,6 +15,7 @@
 #include <new>
 #include <vector>
 
+#include "route_reference.hpp"
 #include "routing/broker.hpp"
 #include "store/subscription_store.hpp"
 #include "workload/comparison_stream.hpp"
@@ -113,9 +114,9 @@ TEST(PublishAlloc, StoreMatchOutParamsSteadyStateDoNotAllocate) {
 }
 
 TEST(PublishAlloc, BrokerPublishWithScratchSteadyStateDoesNotAllocate) {
-  // A broker with two neighbour links and a sharded local match index:
-  // the full publication path — sharded stab, routing-table flat-map
-  // lookups, destination dedup — through caller-owned scratch.
+  // A broker with two neighbour links and a sharded local lane: the full
+  // publication path — local-lane shard stabs, neighbour-lane stabs, the
+  // route sort and destination ordering — through caller-owned scratch.
   store::StoreConfig store_config;  // default kGroup + index
   routing::Broker broker(0, store_config, 1234, /*match_shards=*/2);
   broker.add_neighbor(1);
@@ -163,31 +164,35 @@ TEST(PublishAlloc, BrokerPublishWithScratchSteadyStateDoesNotAllocate) {
   EXPECT_GT(local + remote, 0u);
 }
 
-TEST(PublishAlloc, ScratchRouteMatchesReturningOverload) {
-  // The scratch overload must produce exactly what the vector-returning
-  // overload produces, publication for publication.
+TEST(PublishAlloc, ScratchRouteMatchesFlatScan) {
+  // The scratch publish path must produce exactly what a flat scan over
+  // the routed (subscription, origin) pairs produces, publication for
+  // publication.
   store::StoreConfig store_config;
   routing::Broker broker(7, store_config, 77, /*match_shards=*/3);
   broker.add_neighbor(3);
+  routing::RouteReference reference;
   workload::ComparisonConfig stream_config;
   stream_config.attribute_count = 4;
   stream_config.max_constrained = 3;
   workload::ComparisonStream stream(stream_config, 9);
   for (int i = 0; i < 150; ++i) {
     const bool local = i % 3 != 0;
-    (void)broker.handle_subscription(
-        stream.next(), local ? routing::Origin{true, routing::kInvalidBroker}
-                             : routing::Origin{false, 3});
+    const Subscription sub = stream.next();
+    const routing::Origin origin =
+        local ? routing::Origin{true, routing::kInvalidBroker}
+              : routing::Origin{false, 3};
+    (void)broker.handle_subscription(sub, origin);
+    reference.insert(sub, origin);
   }
   const auto pubs = make_publications(40, stream_config.attribute_count, 31);
   routing::Broker::PublishScratch scratch;
   const routing::Origin origin{true, routing::kInvalidBroker};
   for (const Publication& pub : pubs) {
-    std::vector<SubscriptionId> legacy_local;
-    const auto legacy_dests = broker.handle_publication(pub, origin, legacy_local);
+    const auto expected = reference.route(pub, origin);
     const auto& route = broker.handle_publication(pub, origin, scratch);
-    EXPECT_EQ(route.local_matches, legacy_local);
-    EXPECT_EQ(route.destinations, legacy_dests);
+    EXPECT_EQ(route.local_matches, expected.local_matches);
+    EXPECT_EQ(route.destinations, expected.destinations);
   }
 }
 

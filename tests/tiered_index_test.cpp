@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -371,10 +370,10 @@ Subscription make_sub(const std::vector<Interval>& ranges, SubscriptionId id) {
 
 /// One attribute interval over the [0, 100] domain, mixing every shape
 /// the mask writes distinguish: selective, exactly domain-covering,
-/// everything(), ±inf endpoints (wide or not), beyond the domain, and
-/// single points.
+/// everything(), ±inf endpoints (wide or not), beyond the domain, single
+/// points, and (build with make_sub) empty ranges and NaN endpoints.
 Interval draw_interval(util::Rng& rng) {
-  switch (rng.next_below(10)) {
+  switch (rng.next_below(11)) {
     case 0: return Interval::everything();
     case 1: return Interval{0.0, 100.0};
     case 2: return Interval{-kInf, rng.uniform(100.0, 200.0)};
@@ -385,6 +384,11 @@ Interval draw_interval(util::Rng& rng) {
     case 7: {
       const double v = 6.25 * static_cast<double>(rng.next_below(17));
       return Interval{v, v};
+    }
+    case 8: {
+      const double v = rng.uniform(-10.0, 110.0);
+      if (rng.bernoulli(0.5)) return Interval{v, v - rng.uniform(0.5, 30.0)};
+      return rng.bernoulli(0.5) ? Interval{kNaN, v} : Interval{v, kNaN};
     }
     default: {
       const double lo = rng.uniform(-10.0, 100.0);
@@ -474,7 +478,9 @@ TEST(WideRows, SlotReuseFlipsAttributeBetweenSelectiveAndWide) {
   // reused over and over, its attribute 0 cycling through selective,
   // everything(), domain-covering, half-infinite, NaN and empty shapes. A
   // stale bucket bit or wide bit left by any previous occupant would show
-  // up as a wrong answer on one of the probes.
+  // up as a wrong answer on one of the probes. Empty and NaN ranges, in
+  // an indexed subscription or in a probe box, must answer exactly like
+  // Subscription::intersects (nothing) on both box_intersect paths.
   const std::vector<Interval> shapes{
       Interval{10, 20},     Interval::everything(), Interval{0, 100},
       Interval{-kInf, 300}, Interval{50, 60},       Interval{kNaN, 50},
@@ -493,6 +499,11 @@ TEST(WideRows, SlotReuseFlipsAttributeBetweenSelectiveAndWide) {
         Interval{30, 45}}) {
     boxes.push_back(Subscription({q, Interval{0, 1}}, 999));
   }
+  for (const Interval& q : {Interval{45, 12}, Interval{kNaN, 50},
+                            Interval{10, kNaN}, Interval{kNaN, kNaN}}) {
+    boxes.push_back(make_sub({q, Interval{0, 1}}, 999));
+    boxes.push_back(make_sub({Interval{0, 100}, q}, 999));
+  }
 
   for (IntervalIndex& index : wide_row_variants(2)) {
     const std::string name = variant_name(index);
@@ -503,15 +514,8 @@ TEST(WideRows, SlotReuseFlipsAttributeBetweenSelectiveAndWide) {
     for (const Interval& shape : shapes) {
       live.push_back(make_sub({shape, Interval{0, 100}}, id));
       index.insert(live.back());
-      // NaN and empty ranges are outside box_intersect's contract (the
-      // public Subscription constructor rejects empty ones); stab is exact
-      // for them, and the probes after their erasure check that they left
-      // no stale bits behind.
-      const bool well_formed =
-          !shape.is_empty() && !std::isnan(shape.lo) && !std::isnan(shape.hi);
-      const std::string where = name + " inserted " + std::to_string(id);
-      expect_flat_equal(index, live, points,
-                        well_formed ? boxes : std::vector<Subscription>{}, where);
+      expect_flat_equal(index, live, points, boxes,
+                        name + " inserted " + std::to_string(id));
       ASSERT_TRUE(index.erase(id));
       live.pop_back();
       expect_flat_equal(index, live, points, boxes,
@@ -541,7 +545,7 @@ TEST(WideRows, RandomChurnMatchesFlatScanOnEveryPath) {
     } else {
       std::vector<Interval> ranges(attrs);
       for (Interval& iv : ranges) iv = draw_interval(rng);
-      live.emplace_back(std::move(ranges), next_id++);
+      live.push_back(make_sub(ranges, next_id++));
       for (IntervalIndex& index : variants) index.insert(live.back());
     }
 
@@ -551,8 +555,7 @@ TEST(WideRows, RandomChurnMatchesFlatScanOnEveryPath) {
     }
     std::vector<Interval> box_ranges(attrs);
     for (Interval& iv : box_ranges) iv = draw_interval(rng);
-    const std::vector<Subscription> boxes{
-        Subscription(std::move(box_ranges), 999'999)};
+    const std::vector<Subscription> boxes{make_sub(box_ranges, 999'999)};
     for (const IntervalIndex& index : variants) {
       expect_flat_equal(index, live, points, boxes,
                         variant_name(index) + " step " + std::to_string(step));

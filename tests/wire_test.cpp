@@ -15,6 +15,7 @@
 #include <limits>
 #include <vector>
 
+#include "route_reference.hpp"
 #include "routing/broker.hpp"
 #include "routing/broker_network.hpp"
 #include "store/subscription_store.hpp"
@@ -663,15 +664,20 @@ TEST(Snapshot, RestoredBrokerIsDecisionIdentical) {
     return Origin{false, static_cast<BrokerId>(draw == 1 ? 1 : draw == 2 ? 2 : 7)};
   };
   std::vector<SubscriptionId> live;
+  // Flat-scan reference for the publication routes of both brokers.
+  routing::RouteReference reference;
   for (int i = 0; i < 150; ++i) {
     if (rng.bernoulli(0.2) && !live.empty()) {
       const std::size_t victim = rng() % live.size();
       (void)original.handle_unsubscription(live[victim],
                                            Origin{true, routing::kInvalidBroker});
+      reference.erase(live[victim]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     } else {
-      (void)original.handle_subscription(random_subscription(rng, next_id, 3, false),
-                                         random_origin());
+      const Subscription sub = random_subscription(rng, next_id, 3, false);
+      const Origin origin = random_origin();
+      (void)original.handle_subscription(sub, origin);
+      reference.insert(sub, origin);
       live.push_back(next_id);
       ++next_id;
     }
@@ -706,6 +712,7 @@ TEST(Snapshot, RestoredBrokerIsDecisionIdentical) {
       EXPECT_EQ(original.handle_subscription(sub, origin),
                 restored.handle_subscription(sub, origin))
           << "op " << i;
+      reference.insert(sub, origin);
       live.push_back(sub.id());
     } else if (draw < 0.6 && !live.empty()) {
       const std::size_t victim = future() % live.size();
@@ -720,14 +727,18 @@ TEST(Snapshot, RestoredBrokerIsDecisionIdentical) {
         EXPECT_TRUE(subs_identical(oa.reannounce[r].second,
                                    ob.reannounce[r].second));
       }
+      reference.erase(live[victim]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     } else {
       const Publication pub = random_publication(future);
       const Origin origin{true, routing::kInvalidBroker};
+      const auto expected = reference.route(pub, origin);
       const auto& ra = original.handle_publication(pub, origin, scratch_a);
       const auto& rb = restored.handle_publication(pub, origin, scratch_b);
-      EXPECT_EQ(ra.local_matches, rb.local_matches) << "op " << i;
-      EXPECT_EQ(ra.destinations, rb.destinations) << "op " << i;
+      EXPECT_EQ(ra.local_matches, expected.local_matches) << "op " << i;
+      EXPECT_EQ(ra.destinations, expected.destinations) << "op " << i;
+      EXPECT_EQ(rb.local_matches, expected.local_matches) << "op " << i;
+      EXPECT_EQ(rb.destinations, expected.destinations) << "op " << i;
     }
   }
 }
