@@ -9,33 +9,21 @@
 #include <vector>
 
 #include "util/flags.hpp"
-#include "util/rng.hpp"
 
 namespace psc::net {
 
-namespace {
-
-std::uint64_t derive_broker_seed(std::uint64_t network_seed,
-                                 routing::BrokerId id) {
-  // Must match BrokerNetwork::make_broker, or TCP brokers would make
-  // different (kGroup-policy) coverage decisions than their sim twins.
-  std::uint64_t seed = network_seed ^ (0x9e3779b97f4a7c15ULL * (id + 1));
-  return util::splitmix64(seed);
-}
-
-}  // namespace
-
 BrokerNode::BrokerNode(BrokerNodeOptions options)
-    : broker_(options.id, options.store,
-              derive_broker_seed(options.network_seed, options.id),
-              options.match_shards),
+    : runtime_(options.id, options.store, options.network_seed,
+               options.match_shards),
       transport_(options.transport) {
   for (const routing::BrokerId neighbor : options.transport.neighbors) {
-    broker_.add_neighbor(neighbor);
+    runtime_.broker().add_neighbor(neighbor);
   }
   transport_.set_frame_handler(
       [this](routing::BrokerId from, routing::BrokerId,
-             const wire::Announcement& msg) { dispatch_frame(from, msg); });
+             const wire::Announcement& msg) {
+        runtime_.on_frame(hop_context(), from, msg);
+      });
   transport_.set_client_handler(
       [this](const NetMessage& msg) { handle_client_op(msg); });
   transport_.set_peer_death_handler(
@@ -51,93 +39,17 @@ void BrokerNode::run() {
   transport_.run();
 }
 
-void BrokerNode::dispatch_frame(routing::BrokerId from,
-                                const wire::Announcement& msg) {
-  // Mirror of BrokerNetwork::dispatch_frame.
-  const routing::Origin origin{false, from};
-  switch (msg.kind) {
-    case wire::Announcement::Kind::kSubscribe:
-      deliver_subscription(msg.sub, origin, msg.expiry);
-      break;
-    case wire::Announcement::Kind::kUnsubscribe:
-      deliver_unsubscription(msg.id, origin);
-      break;
-    case wire::Announcement::Kind::kPublication:
-      deliver_publication(msg.pub, origin, msg.token);
-      break;
-    case wire::Announcement::Kind::kMembership:
-      break;  // membership ops are driver-issued, never link traffic
-  }
+routing::HopContext BrokerNode::hop_context() {
+  return routing::HopContext{transport_, *this, metrics_, publish_scratch_};
 }
 
-void BrokerNode::deliver_subscription(const core::Subscription& sub,
-                                      const routing::Origin& origin,
-                                      std::optional<double> expiry) {
-  const std::vector<routing::BrokerId> forward_to =
-      broker_.handle_subscription(sub, origin);
-  if (expiry) {
-    // Accepted for wire parity; cluster traces keep TTLs off (sim time and
-    // wall time are not comparable), so this timer is never armed there.
-    const auto id = sub.id();
-    (void)transport_.schedule_timer_at(*expiry, [this, id]() {
-      const auto reannounce = broker_.handle_expiry(id);
-      for (const auto& [next, promoted] : reannounce) {
-        wire::Announcement msg;
-        msg.kind = wire::Announcement::Kind::kSubscribe;
-        msg.from = transport_.self();
-        msg.sub = promoted;
-        transport_.send_frame(transport_.self(), next, msg);
-      }
-    });
-  }
-  for (const routing::BrokerId next : forward_to) {
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kSubscribe;
-    msg.from = transport_.self();
-    msg.sub = sub;
-    msg.expiry = expiry;
-    transport_.send_frame(transport_.self(), next, msg);
-  }
+void BrokerNode::deliver_local(std::uint64_t,
+                               std::span<const core::SubscriptionId> ids) {
+  transport_.add_delivered(ids);
 }
 
-void BrokerNode::deliver_unsubscription(core::SubscriptionId id,
-                                        const routing::Origin& origin) {
-  const routing::Broker::UnsubscriptionOutcome outcome =
-      broker_.handle_unsubscription(id, origin);
-  for (const routing::BrokerId next : outcome.forward_to) {
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kUnsubscribe;
-    msg.from = transport_.self();
-    msg.id = id;
-    transport_.send_frame(transport_.self(), next, msg);
-  }
-  // Promotions travel as fresh subscription announcements, like the sim's
-  // schedule_reannounce. No registry TTL lookup here: the TCP vocabulary
-  // is TTL-free, so every promoted subscription is live with no expiry.
-  for (const auto& [next, sub] : outcome.reannounce) {
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kSubscribe;
-    msg.from = transport_.self();
-    msg.sub = sub;
-    transport_.send_frame(transport_.self(), next, msg);
-  }
-}
-
-void BrokerNode::deliver_publication(const core::Publication& pub,
-                                     const routing::Origin& origin,
-                                     std::uint64_t token) {
-  if (!broker_.mark_publication_seen(token)) return;
-  const routing::Broker::PublicationRoute& route =
-      broker_.handle_publication(pub, origin, publish_scratch_);
-  transport_.add_delivered(route.local_matches);
-  for (const routing::BrokerId next : route.destinations) {
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kPublication;
-    msg.from = transport_.self();
-    msg.pub = pub;
-    msg.token = token;
-    transport_.send_frame(transport_.self(), next, msg);
-  }
+routing::RuntimeHost::Liveness BrokerNode::liveness(core::SubscriptionId) const {
+  return {true, std::nullopt};  // correct only because TCP ops carry no TTL
 }
 
 void BrokerNode::handle_client_op(const NetMessage& msg) {
@@ -147,18 +59,19 @@ void BrokerNode::handle_client_op(const NetMessage& msg) {
     return;
   }
   const std::uint64_t op_id = msg.op_id;
+  const routing::HopContext ctx = hop_context();
   transport_.begin_root();
   switch (msg.op) {
     case ClientOpKind::kSubscribe:
-      deliver_subscription(msg.sub, local, std::nullopt);
+      runtime_.on_subscription(ctx, msg.sub, local);
       break;
     case ClientOpKind::kUnsubscribe:
-      deliver_unsubscription(msg.id, local);
+      runtime_.on_unsubscription(ctx, msg.id, local);
       break;
     case ClientOpKind::kPublish:
       // The token is driver-assigned (globally unique without broker
-      // coordination); marking it seen at the source mirrors publish_one.
-      deliver_publication(msg.pub, local, msg.token);
+      // coordination); the source hop marks it seen like any other.
+      runtime_.on_publication(ctx, msg.pub, local, msg.token);
       break;
     case ClientOpKind::kShutdown:
       break;  // handled above
@@ -177,19 +90,11 @@ void BrokerNode::handle_client_op(const NetMessage& msg) {
 }
 
 void BrokerNode::handle_peer_death(routing::BrokerId peer) {
-  // Mirror of BrokerNetwork::detach_and_purge: drop the link, then purge
-  // every route learned over it with the normal unsubscription cascade in
-  // ascending id order. The kPeerDown event fires only when the purge's
-  // cascade tree has quiesced, so the supervisor can serialize repair
-  // against in-flight traffic.
-  broker_.remove_neighbor(peer);
-  std::vector<core::SubscriptionId> ids =
-      broker_.subscriptions_from(routing::Origin{false, peer});
-  std::sort(ids.begin(), ids.end());
+  // The purge runs as one cascade root, so kPeerDown fires only when its
+  // unsubscription cascade has quiesced and the supervisor can serialize
+  // repair against in-flight traffic.
   transport_.begin_root();
-  for (const core::SubscriptionId sid : ids) {
-    deliver_unsubscription(sid, routing::Origin{false, peer});
-  }
+  runtime_.purge_link(hop_context(), peer);
   const routing::BrokerId self = transport_.self();
   transport_.end_root([this, self, peer](std::vector<core::SubscriptionId>) {
     transport_.send_to_client(make_event(EventKind::kPeerDown, self, peer));
@@ -204,8 +109,10 @@ int run_brokerd(int argc, const char* const* argv) {
     const util::Flags flags(argc, argv);
     BrokerNodeOptions options;
     options.id = static_cast<routing::BrokerId>(flags.get_int("id", 0));
-    options.network_seed =
-        static_cast<std::uint64_t>(flags.get_int("seed", 0xfeedbeefLL));
+    // Unsigned 64-bit: Cluster passes any seed, top bit included.
+    if (flags.has("seed")) {
+      options.network_seed = std::stoull(flags.get_string("seed", ""));
+    }
     options.match_shards =
         static_cast<std::size_t>(flags.get_int("match-shards", 1));
     const std::string policy = flags.get_string("policy", "exact");

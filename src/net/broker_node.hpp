@@ -1,10 +1,12 @@
-// BrokerNode — one broker as a real process: the routing::Broker policy
-// core wired to a TcpTransport instead of the BrokerNetwork/EventQueue
-// harness. Its dispatch and deliver_* bodies mirror BrokerNetwork's
-// (routing/broker_network.cpp) hop for hop — same handle_* calls, same
-// forwarding loops, same Announcement fields — so the delivered sets a TCP
-// cluster produces are gated against the same FlatOracle ground truth the
-// sim's differential suites use.
+// BrokerNode — one broker as a real process (psc_brokerd): a
+// routing::BrokerRuntime, the same per-broker hop logic BrokerNetwork runs
+// for every simulated broker, instantiated over a TcpTransport. What stays
+// here is what differs from the sim: client ops arrive over the supervisor
+// connection and each becomes a cascade root, peer death (EOF) runs the
+// runtime's link purge inside its own root, and the node answers the
+// runtime's two host questions. The delivered sets a TCP cluster produces
+// are gated against the same FlatOracle ground truth the sim's
+// differential suites use.
 //
 // Scope (what the TCP op vocabulary covers): subscribe / unsubscribe /
 // publish client ops and EOF-triggered peer-death purges. TTL expiries are
@@ -14,35 +16,37 @@
 // comparable. Membership repair beyond crash-purge (heal, replace) stays a
 // sim-side concern.
 //
-// Delivered-set plumbing: the sim collects per-publication matches through
-// pub_sinks_ pointers; a process cannot. Instead every local match is
-// added to the transport's active cascade record, and the record tree's
-// kDone aggregation returns the full delivered set to the op's root — the
-// supervisor gets it in the kOpResult, byte-comparable to the oracle.
+// Delivered-set plumbing: the sim's host hands local matches to the
+// publish call's sink; a process has no caller-held sink. BrokerNode's
+// deliver_local instead adds them to the transport's active cascade
+// record, and the record tree's kDone aggregation returns the full
+// delivered set to the op's root — the supervisor gets it in the
+// kOpResult, byte-comparable to the oracle.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 
 #include "net/message.hpp"
 #include "net/tcp_transport.hpp"
-#include "routing/broker.hpp"
+#include "routing/broker_runtime.hpp"
+#include "sim/metrics.hpp"
 #include "store/subscription_store.hpp"
 
 namespace psc::net {
 
 struct BrokerNodeOptions {
   routing::BrokerId id = 0;
-  /// The cluster-wide seed (NetworkConfig::seed). The per-broker store
-  /// seed derives from it exactly like BrokerNetwork::make_broker, so a
-  /// TCP broker's coverage decisions match its sim twin's.
+  /// The cluster-wide seed (NetworkConfig::seed). BrokerRuntime derives
+  /// the per-broker store seed from it, exactly as for a simulated broker,
+  /// so a TCP broker's coverage decisions match its sim twin's.
   std::uint64_t network_seed = 0xfeedbeefULL;
   std::size_t match_shards = 1;
   store::StoreConfig store;
   TcpTransportConfig transport;
 };
 
-class BrokerNode {
+class BrokerNode : private routing::RuntimeHost {
  public:
   explicit BrokerNode(BrokerNodeOptions options);
 
@@ -50,22 +54,22 @@ class BrokerNode {
   /// disconnects or sends kShutdown.
   void run();
 
-  [[nodiscard]] const routing::Broker& broker() const noexcept { return broker_; }
+  [[nodiscard]] const routing::Broker& broker() const noexcept {
+    return runtime_.broker();
+  }
 
  private:
-  void dispatch_frame(routing::BrokerId from, const wire::Announcement& msg);
-  void deliver_subscription(const core::Subscription& sub,
-                            const routing::Origin& origin,
-                            std::optional<double> expiry);
-  void deliver_unsubscription(core::SubscriptionId id,
-                              const routing::Origin& origin);
-  void deliver_publication(const core::Publication& pub,
-                           const routing::Origin& origin, std::uint64_t token);
+  void deliver_local(std::uint64_t token,
+                     std::span<const core::SubscriptionId> ids) override;
+  [[nodiscard]] Liveness liveness(core::SubscriptionId id) const override;
+  [[nodiscard]] routing::HopContext hop_context();
   void handle_client_op(const NetMessage& msg);
   void handle_peer_death(routing::BrokerId peer);
 
-  routing::Broker broker_;
+  routing::BrokerRuntime runtime_;
   TcpTransport transport_;
+  /// The runtime's traffic counters for this broker (not exported yet).
+  sim::Metrics metrics_;
   routing::Broker::PublishScratch publish_scratch_;
 };
 

@@ -55,7 +55,9 @@ struct Origin {
   friend bool operator==(const Origin&, const Origin&) = default;
 };
 
-/// Per-broker state. The BrokerNetwork owns Brokers and moves messages.
+/// Per-broker routing state and decisions. A BrokerRuntime
+/// (routing/broker_runtime.hpp) owns each Broker and turns its decisions
+/// into frames, in the simulator and in psc_brokerd alike.
 class Broker {
  public:
   /// `match_shards` partitions the local publish lane (see

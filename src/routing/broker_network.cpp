@@ -18,12 +18,6 @@ using core::SubscriptionId;
 
 BrokerNetwork::BrokerNetwork(NetworkConfig config) : config_(config) {}
 
-std::unique_ptr<Broker> BrokerNetwork::make_broker(BrokerId id) const {
-  std::uint64_t seed = config_.seed ^ (0x9e3779b97f4a7c15ULL * (id + 1));
-  return std::make_unique<Broker>(id, config_.store, util::splitmix64(seed),
-                                  config_.match_shards);
-}
-
 PublishPipeline& BrokerNetwork::ensure_pipeline() {
   if (!pipeline_) {
     pipeline_ = std::make_unique<PublishPipeline>(config_.pipeline);
@@ -40,30 +34,28 @@ SimTransport& BrokerNetwork::ensure_transport() {
         });
     transport_->set_frame_handler(
         [this](BrokerId from, BrokerId to, const wire::Announcement& msg) {
-          dispatch_frame(from, to, msg);
+          brokers_.at(to)->on_frame(hop_context(), from, msg);
         });
   }
   return *transport_;
 }
 
-void BrokerNetwork::dispatch_frame(BrokerId from, BrokerId to,
-                                   const wire::Announcement& msg) {
-  switch (msg.kind) {
-    case wire::Announcement::Kind::kSubscribe:
-      deliver_subscription(to, msg.sub, Origin{false, from}, msg.expiry);
-      break;
-    case wire::Announcement::Kind::kUnsubscribe:
-      deliver_unsubscription(to, msg.id, Origin{false, from});
-      break;
-    case wire::Announcement::Kind::kPublication: {
-      const auto sink = pub_sinks_.find(msg.token);
-      deliver_publication(to, msg.pub, Origin{false, from}, msg.token,
-                          sink == pub_sinks_.end() ? nullptr : sink->second);
-      break;
-    }
-    case wire::Announcement::Kind::kMembership:
-      break;  // membership ops are driver-issued, never link traffic
-  }
+HopContext BrokerNetwork::hop_context() {
+  return HopContext{ensure_transport(), *this, metrics_, publish_scratch_};
+}
+
+void BrokerNetwork::deliver_local(std::uint64_t token,
+                                  std::span<const SubscriptionId> ids) {
+  // Stale tokens (a frame outliving its publish call) resolve to no sink.
+  const auto sink = pub_sinks_.find(token);
+  if (sink == pub_sinks_.end() || sink->second == nullptr) return;
+  sink->second->insert(sink->second->end(), ids.begin(), ids.end());
+}
+
+RuntimeHost::Liveness BrokerNetwork::liveness(SubscriptionId id) const {
+  const auto live = local_subs_.find(id);
+  if (live == local_subs_.end()) return {};
+  return {true, live->second.expiry};
 }
 
 void BrokerNetwork::drain_escalations() {
@@ -93,7 +85,8 @@ void BrokerNetwork::set_link_bursts(std::vector<LinkChannels::BurstWindow> burst
 
 BrokerId BrokerNetwork::add_broker() {
   const auto id = static_cast<BrokerId>(brokers_.size());
-  brokers_.push_back(make_broker(id));
+  brokers_.push_back(std::make_unique<BrokerRuntime>(
+      id, config_.store, config_.seed, config_.match_shards));
   // Keep the membership link-state in lockstep once it is engaged.
   if (link_state_) (void)link_state_->add_broker();
   return id;
@@ -101,8 +94,8 @@ BrokerId BrokerNetwork::add_broker() {
 
 void BrokerNetwork::connect(BrokerId a, BrokerId b) {
   if (a == b) throw std::invalid_argument("BrokerNetwork::connect: self-link");
-  brokers_.at(a)->add_neighbor(b);
-  brokers_.at(b)->add_neighbor(a);
+  brokers_.at(a)->broker().add_neighbor(b);
+  brokers_.at(b)->broker().add_neighbor(a);
   if (link_state_) link_state_->add_link(a, b);
 }
 
@@ -247,7 +240,7 @@ void BrokerNetwork::ensure_membership() {
   // here — membership repair (purge-on-detach) is only correct on trees.
   std::set<std::pair<BrokerId, BrokerId>> links;
   for (std::size_t b = 0; b < brokers_.size(); ++b) {
-    for (const BrokerId neighbor : brokers_[b]->neighbors()) {
+    for (const BrokerId neighbor : brokers_[b]->broker().neighbors()) {
       links.insert(std::minmax(static_cast<BrokerId>(b), neighbor));
     }
   }
@@ -292,7 +285,7 @@ MembershipUniverse BrokerNetwork::universe() const {
   }
   std::set<std::pair<BrokerId, BrokerId>> links;
   for (std::size_t b = 0; b < brokers_.size(); ++b) {
-    for (const BrokerId neighbor : brokers_[b]->neighbors()) {
+    for (const BrokerId neighbor : brokers_[b]->broker().neighbors()) {
       links.insert(std::minmax(static_cast<BrokerId>(b), neighbor));
     }
   }
@@ -306,7 +299,7 @@ std::size_t BrokerNetwork::ghost_route_count() const {
     if (link_state_ && !link_state_->is_alive(static_cast<BrokerId>(b))) {
       continue;  // dead brokers are wiped; their tables are vacuously clean
     }
-    for (const SubscriptionId sid : brokers_[b]->routed_ids()) {
+    for (const SubscriptionId sid : brokers_[b]->broker().routed_ids()) {
       if (local_subs_.count(sid) == 0) ++ghosts;
     }
   }
@@ -318,49 +311,19 @@ void BrokerNetwork::detach_and_purge(BrokerId at, BrokerId dead) {
   // link must never arrive, and a future heal restarts both streams at
   // sequence zero. (Idempotent — both endpoints' detaches may call this.)
   if (transport_) transport_->reset_link(at, dead);
-  brokers_.at(at)->remove_neighbor(dead);
   // Every route learned over the dead link describes a subscription that
-  // is no longer reachable through this endpoint: purge it with the normal
-  // unsubscription cascade (ascending id for determinism — the routing
-  // table iterates in hash order). The origin marks the dead link so the
-  // cascade never tries to cross it (it is already detached anyway).
-  std::vector<SubscriptionId> ids =
-      brokers_.at(at)->subscriptions_from(Origin{false, dead});
-  std::sort(ids.begin(), ids.end());
-  for (const SubscriptionId sid : ids) {
-    deliver_unsubscription(at, sid, Origin{false, dead});
-  }
-}
-
-void BrokerNetwork::announce_over(BrokerId from, BrokerId to) {
-  Broker::AnnounceOutcome outcome = brokers_.at(from)->announce_all_to(to);
-  metrics_.subscriptions_suppressed += outcome.suppressed;
-  for (Subscription& sub : outcome.announce) {
-    // Re-announcements carry the registry's TTL expiry, exactly like a
-    // promotion re-announcement. A routed id missing from the registry is
-    // a ghost (gated to zero elsewhere); skip rather than spread it.
-    const auto live = local_subs_.find(sub.id());
-    if (live == local_subs_.end()) continue;
-    const std::optional<sim::SimTime> expiry = live->second.expiry;
-    ++metrics_.subscription_messages;
-    ++metrics_.reannounced_subscriptions;
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kSubscribe;
-    msg.from = from;
-    msg.sub = std::move(sub);
-    msg.expiry = expiry;
-    ensure_transport().send_frame(from, to, msg);
-  }
+  // is no longer reachable through this endpoint.
+  brokers_.at(at)->purge_link(hop_context(), dead);
 }
 
 void BrokerNetwork::attach_link(BrokerId a, BrokerId b) {
   // Fresh link incarnation: both directed streams restart at sequence zero
   // and anything in flight from a previous incarnation goes stale.
   if (transport_) transport_->reset_link(a, b);
-  brokers_.at(a)->add_neighbor(b);
-  brokers_.at(b)->add_neighbor(a);
-  announce_over(a, b);
-  announce_over(b, a);
+  brokers_.at(a)->broker().add_neighbor(b);
+  brokers_.at(b)->broker().add_neighbor(a);
+  brokers_.at(a)->announce_to(hop_context(), b);
+  brokers_.at(b)->announce_to(hop_context(), a);
   run_cascade();
 }
 
@@ -395,7 +358,7 @@ void BrokerNetwork::remove_peer(BrokerId broker) {
   //    leaver's own state dies with it.
   for (const BrokerId neighbor : former) detach_and_purge(neighbor, broker);
   run_cascade();
-  brokers_[broker] = make_broker(broker);
+  brokers_[broker]->reset();
   // 4. Bring the repair links up with mutual re-announcement.
   for (const auto& [a, b] : repairs) attach_link(a, b);
   drain_escalations();
@@ -432,7 +395,7 @@ void BrokerNetwork::crash_peer(BrokerId broker) {
   // Crash-stop: state is lost wholesale. Registry entries homed here stay
   // (their clients are unaware); TTL timers in the queue keep firing and
   // resolve against the fresh broker as no-ops.
-  brokers_[broker] = make_broker(broker);
+  brokers_[broker]->reset();
   for (const auto& [a, b] : downed) {
     detach_and_purge(a == broker ? b : a, broker);
   }
@@ -477,8 +440,8 @@ BrokerNetwork::ReplaceOutcome BrokerNetwork::replace_peer(
       pruned.routes.push_back(record);
     }
   }
-  brokers_[broker] = make_broker(broker);
-  brokers_[broker]->import_snapshot(pruned);
+  brokers_[broker]->reset();
+  brokers_[broker]->broker().import_snapshot(pruned);
   outcome.restored_routes = pruned.routes.size();
 
   // Registry-diff gap replay: clients that subscribed after the image was
@@ -492,10 +455,11 @@ BrokerNetwork::ReplaceOutcome BrokerNetwork::replace_peer(
   }
   std::sort(homed.begin(), homed.end());
   for (const SubscriptionId sid : homed) {
-    if (brokers_[broker]->routes(sid)) continue;
+    if (brokers_[broker]->broker().routes(sid)) continue;
     const LocalSub& local = local_subs_.at(sid);
-    deliver_subscription(broker, local.sub, Origin{true, kInvalidBroker},
-                         local.expiry);
+    brokers_[broker]->on_subscription(hop_context(), local.sub,
+                                      Origin{true, kInvalidBroker},
+                                      local.expiry);
     ++outcome.gap_subs_replayed;
   }
   run_cascade();
@@ -504,100 +468,6 @@ BrokerNetwork::ReplaceOutcome BrokerNetwork::replace_peer(
   for (const auto& [a, b] : outcome.healed_links) attach_link(a, b);
   drain_escalations();
   return outcome;
-}
-
-void BrokerNetwork::deliver_subscription(BrokerId at, Subscription sub,
-                                         Origin origin,
-                                         std::optional<sim::SimTime> expiry) {
-  std::uint64_t suppressed = 0;
-  const std::vector<BrokerId> forward_to =
-      brokers_.at(at)->handle_subscription(sub, origin, &suppressed);
-  metrics_.subscriptions_suppressed += suppressed;
-  // Each broker arms its own timer — expiry removes the subscription
-  // everywhere with zero unsubscription traffic (Section 5).
-  if (expiry) {
-    const auto id = sub.id();
-    (void)ensure_transport().schedule_timer_at(*expiry, [this, at, id]() {
-      const auto reannounce = brokers_.at(at)->handle_expiry(id);
-      for (const auto& [next, promoted] : reannounce) {
-        schedule_reannounce(at, next, promoted);
-      }
-    });
-  }
-  for (const BrokerId next : forward_to) {
-    ++metrics_.subscription_messages;
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kSubscribe;
-    msg.from = at;
-    msg.sub = sub;
-    msg.expiry = expiry;
-    ensure_transport().send_frame(at, next, msg);
-  }
-}
-
-void BrokerNetwork::deliver_unsubscription(BrokerId at, SubscriptionId id,
-                                           Origin origin) {
-  const Broker::UnsubscriptionOutcome outcome =
-      brokers_.at(at)->handle_unsubscription(id, origin);
-  for (const BrokerId next : outcome.forward_to) {
-    ++metrics_.unsubscription_messages;
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kUnsubscribe;
-    msg.from = at;
-    msg.id = id;
-    ensure_transport().send_frame(at, next, msg);
-  }
-  // Promoted subscriptions flow as fresh subscription messages: the
-  // neighbour never saw them while they were covered. The receiving broker
-  // treats it like any subscription arrival (duplicate-suppressed if it
-  // somehow already routes the id).
-  for (const auto& [next, sub] : outcome.reannounce) {
-    schedule_reannounce(at, next, sub);
-  }
-}
-
-void BrokerNetwork::schedule_reannounce(BrokerId at, BrokerId next,
-                                        const Subscription& promoted) {
-  // A promoted subscription must travel with its original TTL expiry, or
-  // the receiving broker would hold it forever. If the subscription is no
-  // longer live (its own removal fires at this same instant), announcing
-  // it would plant a route nothing ever cleans up — skip; every broker
-  // that already routes it runs its own expiry/unsubscription anyway.
-  const auto live = local_subs_.find(promoted.id());
-  if (live == local_subs_.end()) return;
-  const std::optional<sim::SimTime> expiry = live->second.expiry;
-  ++metrics_.subscription_messages;
-  wire::Announcement msg;
-  msg.kind = wire::Announcement::Kind::kSubscribe;
-  msg.from = at;
-  msg.sub = promoted;
-  msg.expiry = expiry;
-  ensure_transport().send_frame(at, next, msg);
-}
-
-void BrokerNetwork::deliver_publication(BrokerId at, Publication pub,
-                                        Origin origin, std::uint64_t token,
-                                        std::vector<SubscriptionId>* sink) {
-  // Cycle suppression: each broker processes one publication token once.
-  if (!brokers_.at(at)->mark_publication_seen(token)) return;
-  // The returned route lives in publish_scratch_ and is consumed before
-  // this frame returns; scheduled hops copy what they need into their
-  // handlers, so the next hop reusing the scratch is safe.
-  const Broker::PublicationRoute& route =
-      brokers_.at(at)->handle_publication(pub, origin, publish_scratch_);
-  if (sink) {
-    sink->insert(sink->end(), route.local_matches.begin(),
-                 route.local_matches.end());
-  }
-  for (const BrokerId next : route.destinations) {
-    ++metrics_.publication_messages;
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kPublication;
-    msg.from = at;
-    msg.pub = pub;
-    msg.token = token;
-    ensure_transport().send_frame(at, next, msg);
-  }
 }
 
 void BrokerNetwork::subscribe(BrokerId broker, const Subscription& sub) {
@@ -609,7 +479,8 @@ void BrokerNetwork::subscribe(BrokerId broker, const Subscription& sub) {
   }
   require_alive(broker, "subscribe");
   local_subs_.emplace(sub.id(), LocalSub{broker, sub, std::nullopt});
-  deliver_subscription(broker, sub, Origin{true, kInvalidBroker});
+  brokers_[broker]->on_subscription(hop_context(), sub,
+                                    Origin{true, kInvalidBroker});
   run_cascade();
   drain_escalations();
 }
@@ -628,7 +499,8 @@ void BrokerNetwork::subscribe_with_ttl(BrokerId broker, const Subscription& sub,
   require_alive(broker, "subscribe_with_ttl");
   const sim::SimTime expiry = queue_.now() + ttl;
   local_subs_.emplace(sub.id(), LocalSub{broker, sub, expiry});
-  deliver_subscription(broker, sub, Origin{true, kInvalidBroker}, expiry);
+  brokers_[broker]->on_subscription(hop_context(), sub,
+                                    Origin{true, kInvalidBroker}, expiry);
   // The subscriber side forgets the subscription at expiry too.
   (void)ensure_transport().schedule_timer_at(
       expiry, [this, id = sub.id()]() { local_subs_.erase(id); });
@@ -668,7 +540,8 @@ void BrokerNetwork::unsubscribe(BrokerId broker, SubscriptionId id) {
     throw std::invalid_argument("BrokerNetwork::unsubscribe: unknown id");
   }
   local_subs_.erase(it);
-  deliver_unsubscription(broker, id, Origin{true, kInvalidBroker});
+  brokers_[broker]->on_unsubscription(hop_context(), id,
+                                      Origin{true, kInvalidBroker});
   run_cascade();
   drain_escalations();
 }
@@ -695,35 +568,19 @@ void BrokerNetwork::account_delivery(BrokerId source, const Publication& pub,
 void BrokerNetwork::apply_source_route(BrokerId source, const Publication& pub,
                                        const Broker::PublicationRoute& route,
                                        std::vector<SubscriptionId>* sink) {
-  // Mirrors what deliver_publication does at the source hop, except the
-  // route was precomputed by the pipeline instead of handle_publication.
-  // The token is fresh, so marking it seen cannot fail.
   const std::uint64_t token = ++publication_token_;
-  (void)brokers_.at(source)->mark_publication_seen(token);
   pub_sinks_.emplace(token, sink);
-  if (sink) {
-    sink->insert(sink->end(), route.local_matches.begin(),
-                 route.local_matches.end());
-  }
-  for (const BrokerId next : route.destinations) {
-    ++metrics_.publication_messages;
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kPublication;
-    msg.from = source;
-    msg.pub = pub;
-    msg.token = token;
-    ensure_transport().send_frame(source, next, msg);
-  }
+  brokers_.at(source)->on_source_route(hop_context(), pub, route, token);
 }
 
-std::vector<SubscriptionId> BrokerNetwork::publish_one(BrokerId broker,
-                                                       const Publication& pub) {
+std::vector<SubscriptionId> BrokerNetwork::publish(BrokerId broker,
+                                                   const Publication& pub) {
   require_alive(broker, "publish");
   std::vector<SubscriptionId> delivered;
   const std::uint64_t token = ++publication_token_;
   pub_sinks_.emplace(token, &delivered);
-  deliver_publication(broker, pub, Origin{true, kInvalidBroker}, token,
-                      &delivered);
+  brokers_.at(broker)->on_publication(hop_context(), pub,
+                                      Origin{true, kInvalidBroker}, token);
   run_cascade();
   // Escalations fire BEFORE accounting: a link the protocol gave up on is
   // already effectively down for this publication, so the expected set
@@ -734,51 +591,7 @@ std::vector<SubscriptionId> BrokerNetwork::publish_one(BrokerId broker,
   return delivered;
 }
 
-std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_same_source(
-    BrokerId broker, const std::vector<Publication>& pubs) {
-  // Sinks must not move while scheduled handlers hold pointers to them:
-  // sized up front, never resized below.
-  require_alive(broker, "publish_batch");
-  std::vector<std::vector<SubscriptionId>> delivered(pubs.size());
-  if (!config_.link.enabled) {
-    // Staged path: precompute every source-hop route in one pipeline run
-    // (matching never mutates routing state, so batching the matches ahead
-    // of the hop effects is decision-neutral), then apply the effects in
-    // publication order. The scheduled-event timeline is identical to the
-    // injection path below: tokens ascend in publication order and every
-    // first hop lands at now + link_latency.
-    ensure_pipeline().run(*brokers_.at(broker), pubs,
-                          Origin{true, kInvalidBroker}, pipeline_routes_);
-    for (std::size_t i = 0; i < pubs.size(); ++i) {
-      apply_source_route(broker, pubs[i], pipeline_routes_[i], &delivered[i]);
-    }
-    run_cascade();
-  } else {
-    std::vector<sim::EventQueue::Handler> injections;
-    injections.reserve(pubs.size());
-    for (std::size_t i = 0; i < pubs.size(); ++i) {
-      const std::uint64_t token = ++publication_token_;
-      auto* sink = &delivered[i];
-      pub_sinks_.emplace(token, sink);
-      injections.push_back([this, broker, pub = pubs[i], token, sink]() {
-        deliver_publication(broker, pub, Origin{true, kInvalidBroker}, token,
-                            sink);
-      });
-    }
-    queue_.schedule_batch_in(0, std::move(injections));
-    queue_.run_step();  // fire the whole injection front at one instant
-    run_cascade();
-  }
-  drain_escalations();
-  pub_sinks_.clear();
-
-  for (std::size_t i = 0; i < pubs.size(); ++i) {
-    account_delivery(broker, pubs[i], delivered[i]);
-  }
-  return delivered;
-}
-
-std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_multi_source(
+std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_batch(
     std::span<const std::pair<BrokerId, Publication>> pubs) {
   for (const auto& [source, pub] : pubs) require_alive(source, "publish_batch");
   std::vector<std::vector<SubscriptionId>> delivered(pubs.size());
@@ -803,7 +616,7 @@ std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_multi_source(
     for (std::size_t g = 0; g < sources.size(); ++g) {
       batch.clear();
       for (const std::size_t i : groups[g]) batch.push_back(pubs[i].second);
-      ensure_pipeline().run(*brokers_.at(sources[g]), batch,
+      ensure_pipeline().run(brokers_.at(sources[g])->broker(), batch,
                             Origin{true, kInvalidBroker}, pipeline_routes_);
       for (std::size_t k = 0; k < groups[g].size(); ++k) {
         routes[groups[g][k]] = std::move(pipeline_routes_[k]);
@@ -819,13 +632,12 @@ std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_multi_source(
     injections.reserve(pubs.size());
     for (std::size_t i = 0; i < pubs.size(); ++i) {
       const std::uint64_t token = ++publication_token_;
-      auto* sink = &delivered[i];
-      pub_sinks_.emplace(token, sink);
-      injections.push_back([this, source = pubs[i].first,
-                            pub = pubs[i].second, token, sink]() {
-        deliver_publication(source, pub, Origin{true, kInvalidBroker}, token,
-                            sink);
-      });
+      pub_sinks_.emplace(token, &delivered[i]);
+      injections.push_back(
+          [this, source = pubs[i].first, pub = pubs[i].second, token]() {
+            brokers_.at(source)->on_publication(
+                hop_context(), pub, Origin{true, kInvalidBroker}, token);
+          });
     }
     queue_.schedule_batch_in(0, std::move(injections));
     queue_.run_step();
@@ -840,86 +652,6 @@ std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_multi_source(
   return delivered;
 }
 
-// --- consolidated publish surface ---------------------------------------
-
-PublishRequest PublishRequest::single(BrokerId broker, core::Publication pub) {
-  PublishRequest request;
-  request.shape_ = Shape::kSingle;
-  request.broker_ = broker;
-  request.pub_ = std::move(pub);
-  return request;
-}
-
-PublishRequest PublishRequest::batch(BrokerId broker,
-                                     std::vector<core::Publication> pubs) {
-  PublishRequest request;
-  request.shape_ = Shape::kSameSource;
-  request.broker_ = broker;
-  request.pubs_ = std::move(pubs);
-  return request;
-}
-
-PublishRequest PublishRequest::multi_source(
-    std::vector<SourcedPublication> pairs) {
-  PublishRequest request;
-  request.shape_ = Shape::kMultiSource;
-  request.owned_pairs_ = std::move(pairs);
-  return request;
-}
-
-PublishRequest PublishRequest::view(std::span<const SourcedPublication> pairs) {
-  PublishRequest request;
-  request.shape_ = Shape::kMultiSource;
-  request.view_ = pairs;
-  return request;
-}
-
-std::size_t PublishRequest::size() const noexcept {
-  switch (shape_) {
-    case Shape::kSingle:
-      return 1;
-    case Shape::kSameSource:
-      return pubs_.size();
-    case Shape::kMultiSource:
-      return pairs().size();
-  }
-  return 0;
-}
-
-std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish(
-    const PublishRequest& request) {
-  // Each shape dispatches to the legacy entry point's body verbatim, so a
-  // request built from a legacy call is timeline-identical to it (same
-  // token order, same injection events, same tie-break sequence numbers).
-  switch (request.shape_) {
-    case PublishRequest::Shape::kSingle: {
-      std::vector<std::vector<SubscriptionId>> delivered(1);
-      delivered[0] = publish_one(request.broker_, request.pub_);
-      return delivered;
-    }
-    case PublishRequest::Shape::kSameSource:
-      return publish_same_source(request.broker_, request.pubs_);
-    case PublishRequest::Shape::kMultiSource:
-      return publish_multi_source(request.pairs());
-  }
-  return {};
-}
-
-std::vector<SubscriptionId> BrokerNetwork::publish(BrokerId broker,
-                                                   const Publication& pub) {
-  return publish_one(broker, pub);
-}
-
-std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_batch(
-    BrokerId broker, const std::vector<Publication>& pubs) {
-  return publish_same_source(broker, pubs);
-}
-
-std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_batch(
-    std::span<const std::pair<BrokerId, Publication>> pubs) {
-  return publish_multi_source(pubs);
-}
-
 std::vector<std::uint8_t> BrokerNetwork::snapshot_all() const {
   wire::ByteWriter out;
   wire::write_frame_header(out, wire::kNetworkSnapshotMagic);
@@ -929,9 +661,10 @@ std::vector<std::uint8_t> BrokerNetwork::snapshot_all() const {
   // ORDER is semantic — forwarding fans out in list order, which fixes
   // event-queue tie-breaks — so it is restored verbatim, not re-derived.
   out.varint(brokers_.size());
-  for (const auto& broker : brokers_) {
-    out.varint(broker->neighbors().size());
-    for (const BrokerId neighbor : broker->neighbors()) out.varint(neighbor);
+  for (const auto& runtime : brokers_) {
+    const std::vector<BrokerId>& neighbors = runtime->broker().neighbors();
+    out.varint(neighbors.size());
+    for (const BrokerId neighbor : neighbors) out.varint(neighbor);
   }
 
   // v2 membership block: engaged flag; when engaged, the alive bitmap and
@@ -968,8 +701,8 @@ std::vector<std::uint8_t> BrokerNetwork::snapshot_all() const {
     if (local.expiry) out.f64(*local.expiry);
   }
 
-  for (const auto& broker : brokers_) {
-    wire::write_broker_snapshot(out, broker->export_snapshot());
+  for (const auto& runtime : brokers_) {
+    wire::write_broker_snapshot(out, runtime->broker().export_snapshot());
   }
   return out.take();
 }
@@ -1045,7 +778,7 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
   for (std::size_t b = 0; b < broker_count; ++b) (void)add_broker();
   for (std::size_t b = 0; b < broker_count; ++b) {
     for (const BrokerId neighbor : neighbor_lists[b]) {
-      brokers_[b]->add_neighbor(neighbor);
+      brokers_[b]->broker().add_neighbor(neighbor);
     }
   }
 
@@ -1097,7 +830,7 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
   }
 
   for (std::size_t b = 0; b < broker_count; ++b) {
-    brokers_[b]->import_snapshot(wire::read_broker_snapshot(in));
+    brokers_[b]->broker().import_snapshot(wire::read_broker_snapshot(in));
   }
   if (!in.at_end()) {
     throw wire::DecodeError("wire: trailing bytes after network snapshot");
@@ -1119,21 +852,12 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
     const LocalSub& local = local_subs_.at(sid);
     if (!local.expiry) continue;
     const sim::SimTime expiry = *local.expiry;
-    const auto arm = [this, expiry, sid](BrokerId at) {
-      (void)ensure_transport().schedule_timer_at(expiry, [this, at, sid]() {
-        const auto reannounce = brokers_.at(at)->handle_expiry(sid);
-        for (const auto& [next, promoted] : reannounce) {
-          schedule_reannounce(at, next, promoted);
-        }
-      });
-    };
-    arm(local.home);
+    brokers_[local.home]->arm_expiry(hop_context(), sid, expiry);
     (void)ensure_transport().schedule_timer_at(
         expiry, [this, sid]() { local_subs_.erase(sid); });
     for (std::size_t b = 0; b < broker_count; ++b) {
-      const auto id = static_cast<BrokerId>(b);
-      if (id == local.home) continue;
-      if (brokers_[b]->routes(sid)) arm(id);
+      if (b == local.home || !brokers_[b]->broker().routes(sid)) continue;
+      brokers_[b]->arm_expiry(hop_context(), sid, expiry);
     }
   }
 }

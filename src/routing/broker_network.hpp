@@ -1,7 +1,9 @@
 // BrokerNetwork — the distributed overlay: brokers + logical links driven by
-// the discrete-event simulator. Implements subscription flooding with
-// coverage-based pruning and reverse-path publication forwarding
-// (paper, Section 2 and Figure 1), with full traffic accounting.
+// the discrete-event simulator. Each broker is a BrokerRuntime (subscription
+// flooding with coverage-based pruning and reverse-path publication
+// forwarding — paper, Section 2 and Figure 1) over one SimTransport; the
+// network owns topology, membership repair, the client registry, cascade
+// quiescence (run_cascade) and full traffic accounting.
 //
 // Loss accounting: when a publication is injected, the network computes the
 // ground-truth recipient set (every local subscription anywhere whose box
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "routing/broker.hpp"
+#include "routing/broker_runtime.hpp"
 #include "routing/link_channel.hpp"
 #include "routing/membership.hpp"
 #include "routing/publish_pipeline.hpp"
@@ -99,51 +102,7 @@ class NetworkConfig::Builder {
   NetworkConfig config_;
 };
 
-/// The consolidated publish surface: one request object covering the three
-/// legacy entry-point shapes (single publication, same-source batch,
-/// multi-source batch), so sim and TCP callers share one call. Each factory
-/// preserves the exact semantics — and the exact event timeline — of the
-/// legacy signature it wraps.
-class PublishRequest {
- public:
-  using SourcedPublication = std::pair<BrokerId, core::Publication>;
-
-  /// One publication at `broker` (legacy publish(broker, pub)).
-  static PublishRequest single(BrokerId broker, core::Publication pub);
-
-  /// A batch injected at one simulated instant from one source (legacy
-  /// publish_batch(broker, pubs)).
-  static PublishRequest batch(BrokerId broker,
-                              std::vector<core::Publication> pubs);
-
-  /// A multi-source batch, one instant, pair order preserved (legacy
-  /// publish_batch(span)). Owns its pairs.
-  static PublishRequest multi_source(std::vector<SourcedPublication> pairs);
-
-  /// Non-owning multi-source view: zero-copy over caller-held pairs, which
-  /// must outlive the publish call.
-  static PublishRequest view(std::span<const SourcedPublication> pairs);
-
-  /// Publications in the request.
-  [[nodiscard]] std::size_t size() const noexcept;
-
- private:
-  friend class BrokerNetwork;
-  enum class Shape { kSingle, kSameSource, kMultiSource };
-
-  [[nodiscard]] std::span<const SourcedPublication> pairs() const noexcept {
-    return owned_pairs_.empty() ? view_ : std::span(owned_pairs_);
-  }
-
-  Shape shape_ = Shape::kSingle;
-  BrokerId broker_ = 0;                  ///< kSingle / kSameSource
-  core::Publication pub_;                ///< kSingle
-  std::vector<core::Publication> pubs_;  ///< kSameSource
-  std::vector<SourcedPublication> owned_pairs_;       ///< kMultiSource owning
-  std::span<const SourcedPublication> view_;          ///< kMultiSource view
-};
-
-class BrokerNetwork {
+class BrokerNetwork : private RuntimeHost {
  public:
   explicit BrokerNetwork(NetworkConfig config = {});
 
@@ -302,29 +261,18 @@ class BrokerNetwork {
   /// Client unsubscribes (id must have been subscribed).
   void unsubscribe(BrokerId broker, core::SubscriptionId id);
 
-  /// THE publish entry point: every request shape (single, same-source
-  /// batch, multi-source batch — see PublishRequest) runs to quiescence and
-  /// returns the delivered ids per publication, sorted/deduplicated, in
-  /// request order. Delivered sets are identical to calling the single
-  /// form once per publication (publication handling never mutates routing
-  /// state); batches are injected at one simulated instant so the combined
-  /// cascade runs once. On perfect links the source-hop matching of batch
-  /// shapes runs through the staged PublishPipeline.
-  std::vector<std::vector<core::SubscriptionId>> publish(
-      const PublishRequest& request);
-
-  /// Deprecated shim for publish(PublishRequest::single(broker, pub)):
-  /// kept for existing call sites; prefer the request form.
+  /// Client publishes `pub` at `broker`; the cascade runs to quiescence.
+  /// Returns the delivered subscription ids, sorted and deduplicated, and
+  /// tallies delivered/lost against the component-aware ground truth.
   std::vector<core::SubscriptionId> publish(BrokerId broker,
                                             const core::Publication& pub);
 
-  /// Deprecated shim for publish(PublishRequest::batch(...)); prefer the
-  /// request form.
-  std::vector<std::vector<core::SubscriptionId>> publish_batch(
-      BrokerId broker, const std::vector<core::Publication>& pubs);
-
-  /// Deprecated shim for publish(PublishRequest::view(pubs)); prefer the
-  /// request form.
+  /// Publishes every (source, publication) pair at one simulated instant,
+  /// so the combined cascade runs once; returns one delivered set per
+  /// pair, in pair order. Delivered sets are identical to calling
+  /// publish() once per pair (publication handling never mutates routing
+  /// state). On perfect links the source-hop matching runs through the
+  /// staged PublishPipeline, one run per distinct source.
   std::vector<std::vector<core::SubscriptionId>> publish_batch(
       std::span<const std::pair<BrokerId, core::Publication>> pubs);
 
@@ -352,7 +300,9 @@ class BrokerNetwork {
   [[nodiscard]] std::size_t local_subscription_count() const noexcept {
     return local_subs_.size();
   }
-  [[nodiscard]] const Broker& broker(BrokerId id) const { return *brokers_.at(id); }
+  [[nodiscard]] const Broker& broker(BrokerId id) const {
+    return brokers_.at(id)->broker();
+  }
   [[nodiscard]] const sim::Metrics& metrics() const noexcept { return metrics_; }
   void reset_metrics() noexcept { metrics_.reset(); }
 
@@ -401,7 +351,9 @@ class BrokerNetwork {
  private:
   NetworkConfig config_;
   sim::EventQueue queue_;
-  std::vector<std::unique_ptr<Broker>> brokers_;
+  /// One runtime per broker, heap-held: armed expiry timers call back into
+  /// their runtime, so its address must survive vector growth.
+  std::vector<std::unique_ptr<BrokerRuntime>> brokers_;
   /// Engaged by the first membership operation (or add_standby_link);
   /// nullopt means the overlay is static and pre-membership semantics
   /// apply everywhere.
@@ -418,10 +370,10 @@ class BrokerNetwork {
   std::unordered_map<core::SubscriptionId, LocalSub> local_subs_;
   sim::Metrics metrics_;
   std::uint64_t publication_token_ = 0;
-  /// Shared publish scratch for deliver_publication: the cascade is
-  /// single-threaded and each hop finishes with the route before the next
-  /// handler runs, so one network-wide scratch keeps every broker hop
-  /// allocation-free once warm.
+  /// Shared publish scratch for every broker's publication hop: the
+  /// cascade is single-threaded and each hop finishes with the route before
+  /// the next handler runs, so one network-wide scratch keeps every broker
+  /// hop allocation-free once warm.
   Broker::PublishScratch publish_scratch_;
   /// Shared staged pipeline: one pipeline — and one set of stage workers —
   /// serves every broker, retargeted per batch. Built lazily on the first
@@ -449,45 +401,27 @@ class BrokerNetwork {
   /// entry-point call; stale lookups resolve to a null sink.
   std::unordered_map<std::uint64_t, std::vector<core::SubscriptionId>*> pub_sinks_;
 
-  void deliver_subscription(BrokerId at, core::Subscription sub, Origin origin,
-                            std::optional<sim::SimTime> expiry = std::nullopt);
-
   /// Runs the message cascade triggered "now" to completion: every hop adds
   /// one link latency and the cascade depth is bounded by the broker count,
   /// so events beyond now + (brokers+1) * latency belong to armed timers,
   /// not to this cascade. Keeps publish/subscribe from fast-forwarding the
   /// clock into future expiries.
   void run_cascade();
-  void deliver_unsubscription(BrokerId at, core::SubscriptionId id, Origin origin);
-  /// Schedules a promotion re-announcement of `promoted` from `at` to
-  /// `next`, carrying the subscription's TTL expiry (if any) so the
-  /// receiver arms its own timer; no-op if the subscription is no longer
-  /// live at this instant.
-  void schedule_reannounce(BrokerId at, BrokerId next,
-                           const core::Subscription& promoted);
-  void deliver_publication(BrokerId at, core::Publication pub, Origin origin,
-                           std::uint64_t token,
-                           std::vector<core::SubscriptionId>* sink);
 
-  /// Constructs broker `id` with the same derived seed original
-  /// construction would have used (shared by add_broker, crash wipes, and
-  /// restore_all). Pipelined networks get their publish lanes here, so
-  /// crash wipes and restores keep the lane mirror in lockstep.
-  [[nodiscard]] std::unique_ptr<Broker> make_broker(BrokerId id) const;
+  // RuntimeHost: local matches go to the publish call's sink for the
+  // token; liveness is the client registry's answer.
+  void deliver_local(std::uint64_t token,
+                     std::span<const core::SubscriptionId> ids) override;
+  [[nodiscard]] Liveness liveness(core::SubscriptionId id) const override;
+
+  /// What every runtime hop borrows from the network (built per call:
+  /// nothing network-owned may be cached across a move).
+  [[nodiscard]] HopContext hop_context();
 
   PublishPipeline& ensure_pipeline();
-  /// The three publish shapes behind publish(PublishRequest) — each is the
-  /// former public entry point's body verbatim, so the legacy shims and
-  /// the request form share one timeline-identical implementation.
-  std::vector<core::SubscriptionId> publish_one(BrokerId broker,
-                                                const core::Publication& pub);
-  std::vector<std::vector<core::SubscriptionId>> publish_same_source(
-      BrokerId broker, const std::vector<core::Publication>& pubs);
-  std::vector<std::vector<core::SubscriptionId>> publish_multi_source(
-      std::span<const std::pair<BrokerId, core::Publication>> pubs);
   /// Source-hop effects of one precomputed route, in sequential-injection
-  /// shape: assign the next token, mark it seen at the source, sink the
-  /// local matches, and schedule one hop per destination.
+  /// shape: assign the next token, register its sink, and run the
+  /// runtime's source hop (mark seen, sink local matches, forward).
   void apply_source_route(BrokerId source, const core::Publication& pub,
                           const Broker::PublicationRoute& route,
                           std::vector<core::SubscriptionId>* sink);
@@ -500,9 +434,6 @@ class BrokerNetwork {
   /// Builds the transport on first send (callbacks close over `this`, so
   /// construction is deferred past the moveable-config phase).
   SimTransport& ensure_transport();
-  /// Transport frame handler: routes an arrived Announcement to the
-  /// matching deliver_* handler (the receiving half of each send site).
-  void dispatch_frame(BrokerId from, BrokerId to, const wire::Announcement& msg);
   /// Applies pending retry-cap escalations as fail_link calls, looping
   /// until none remain (a purge cascade can escalate further links).
   /// Re-entrant calls (fail_link runs inside the drain) are no-ops.
@@ -513,15 +444,9 @@ class BrokerNetwork {
   void ensure_membership();
   void require_alive(BrokerId broker, const char* what) const;
 
-  /// Detach-side purge: removes the (at, dead) neighbour link at `at` and
-  /// issues a cascading unsubscription (ascending id) for every route `at`
-  /// learned over it. Caller runs the cascade.
+  /// Detach-side purge: kills the link's channel state, then runs `at`'s
+  /// link purge (BrokerRuntime::purge_link). Caller runs the cascade.
   void detach_and_purge(BrokerId at, BrokerId dead);
-
-  /// Attach-side re-announcement: floods `from`'s uncovered routes over
-  /// the fresh link to `to`, carrying registry TTL expiries. Caller runs
-  /// the cascade.
-  void announce_over(BrokerId from, BrokerId to);
 
   /// Brings a link up at the broker layer (both neighbour lists + mutual
   /// re-announcement) and runs the cascade. Link-state bookkeeping is the

@@ -1,12 +1,12 @@
 // Transport — the hop-delivery seam between routing policy and frame
 // mechanism.
 //
-// BrokerNetwork's routing layer decides WHAT crosses each overlay link
-// (subscription floods, unsubscription cascades, promotion re-announcements,
-// reverse-path publication hops); a Transport decides HOW a frame gets from
-// one broker to the other and WHEN it arrives. Splitting the two (the
-// policy/mechanism separation the middleware literature argues for) lets the
-// same broker logic run over:
+// The per-broker runtime (routing/broker_runtime.hpp) decides WHAT crosses
+// each overlay link (subscription floods, unsubscription cascades, promotion
+// re-announcements, reverse-path publication hops); a Transport decides HOW
+// a frame gets from one broker to the other and WHEN it arrives. Splitting
+// the two (the policy/mechanism separation the middleware literature argues
+// for) lets the same broker logic run over:
 //
 //   * SimTransport  (sim_transport.hpp) — the deterministic discrete-event
 //     wire: every hop is one EventQueue entry at now + latency, optionally

@@ -85,9 +85,7 @@ std::vector<core::SubscriptionId> replay_op(BrokerNetwork& net,
       net.unsubscribe(op.broker, op.id);
       break;
     case ChurnOpKind::kPublish:
-      delivered = std::move(
-          net.publish(routing::PublishRequest::single(op.broker, op.pub))
-              .front());
+      delivered = net.publish(op.broker, op.pub);
       break;
     case ChurnOpKind::kAdvance:
       break;
@@ -321,8 +319,7 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
       report.ops += count;
       epoch.publishes += count;
       report.publishes += count;
-      const auto delivered_sets =
-          net.publish(routing::PublishRequest::view(publish_pairs));
+      const auto delivered_sets = net.publish_batch(publish_pairs);
       if (options.differential) {
         for (std::size_t k = 0; k < count; ++k) {
           oracle.publish(trace.ops[op_index + k].broker,
@@ -391,9 +388,7 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
       case ChurnOpKind::kPublish: {
         ++epoch.publishes;
         ++report.publishes;
-        const auto delivered = std::move(
-            net.publish(routing::PublishRequest::single(op.broker, op.pub))
-                .front());
+        const auto delivered = net.publish(op.broker, op.pub);
         // Escalations fire inside net.publish before its own delivery
         // accounting; the oracle needs the same fail_links applied before
         // its delivered set is computed.

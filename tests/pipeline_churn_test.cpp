@@ -110,7 +110,9 @@ TEST(PipelineChurn, SingleBrokerBatchMatchesPerPublicationPublish) {
     pubs.push_back(Publication({1000.0 * rng.next_double(),
                                 1000.0 * rng.next_double()}));
   }
-  const auto batched = piped.publish_batch(3, pubs);
+  std::vector<std::pair<BrokerId, Publication>> pairs;
+  for (const auto& pub : pubs) pairs.emplace_back(3, pub);
+  const auto batched = piped.publish_batch(pairs);
   ASSERT_EQ(batched.size(), pubs.size());
   for (std::size_t p = 0; p < pubs.size(); ++p) {
     EXPECT_EQ(batched[p], plain.publish(3, pubs[p])) << "pub " << p;

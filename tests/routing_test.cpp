@@ -262,7 +262,9 @@ TEST(BrokerNetwork, PublishBatchMatchesSequentialPublishes) {
     for (const auto& pub : pubs) {
       expected.push_back(sequential.publish(B(9), pub));
     }
-    EXPECT_EQ(batched.publish_batch(B(9), pubs), expected) << shards;
+    std::vector<std::pair<BrokerId, Publication>> pairs;
+    for (const auto& pub : pubs) pairs.emplace_back(B(9), pub);
+    EXPECT_EQ(batched.publish_batch(pairs), expected) << shards;
     EXPECT_EQ(batched.metrics().notifications_delivered,
               sequential.metrics().notifications_delivered)
         << shards;

@@ -85,44 +85,81 @@ TEST(TcpTransportTest, StarTopologyMatchesOracle) {
 }
 
 TEST(TcpTransportTest, DeliveredSetsMatchSimTransportPublishForPublish) {
-  const std::uint64_t seed = 0x5eed3;
-  const auto trace = make_trace(5, seed, 15.0);
+  // The second seed has its top bit set: the cluster must pass it to every
+  // brokerd intact, or the TCP side cannot start (or derives other seeds).
+  for (const std::uint64_t seed : {0x5eed3ULL, 0x800000000005eed3ULL}) {
+    const auto trace = make_trace(5, seed, 15.0);
 
-  // Sim twin: same chain, same seed, the differential kExact store policy
-  // the brokerd default uses — decisions are deterministic on both sides.
+    // Sim twin: same chain, same seed, the differential kExact store policy
+    // the brokerd default uses — decisions are deterministic on both sides.
+    routing::NetworkConfig config =
+        routing::NetworkConfig::Builder().seed(seed).build();
+    config.store.policy = store::CoveragePolicy::kExact;
+    auto sim_net = routing::BrokerNetwork::chain_topology(5, config);
+
+    net::Cluster cluster(chain_options(5, seed));
+    cluster.start();
+
+    std::size_t publishes = 0;
+    for (const workload::ChurnOp& op : trace.ops) {
+      switch (op.kind) {
+        case workload::ChurnOpKind::kSubscribe:
+          sim_net.subscribe(op.broker, op.sub);
+          cluster.subscribe(op.broker, op.sub);
+          break;
+        case workload::ChurnOpKind::kUnsubscribe: {
+          sim_net.unsubscribe(op.broker, op.id);
+          cluster.unsubscribe(op.broker, op.id);
+          break;
+        }
+        case workload::ChurnOpKind::kPublish: {
+          const auto sim_got = sim_net.publish(op.broker, op.pub);
+          const auto tcp_got = cluster.publish(op.broker, op.pub);
+          EXPECT_EQ(sim_got, tcp_got)
+              << "seed " << seed << " publish #" << publishes;
+          ++publishes;
+          break;
+        }
+        default:
+          break;  // kAdvance: wall clock needs no driving
+      }
+    }
+    cluster.shutdown();
+    EXPECT_GT(publishes, 0u) << "seed " << seed;
+  }
+}
+
+TEST(TcpTransportTest, PromotionReannouncementMatchesSim) {
+  // Covered-subscription promotion over sockets: [40,60] (id 2) is
+  // suppressed on 0 -> 1 as covered by [0,100] (id 1); unsubscribing id 1
+  // must re-announce id 2 along the chain, or broker 2's publication finds
+  // no route back to broker 0.
+  const std::uint64_t seed = 0x5eed6;
   routing::NetworkConfig config =
       routing::NetworkConfig::Builder().seed(seed).build();
   config.store.policy = store::CoveragePolicy::kExact;
-  auto sim_net = routing::BrokerNetwork::chain_topology(5, config);
-
-  net::Cluster cluster(chain_options(5, seed));
+  auto sim_net = routing::BrokerNetwork::chain_topology(3, config);
+  net::Cluster cluster(chain_options(3, seed));
   cluster.start();
 
-  std::size_t publishes = 0;
-  for (const workload::ChurnOp& op : trace.ops) {
-    switch (op.kind) {
-      case workload::ChurnOpKind::kSubscribe:
-        sim_net.subscribe(op.broker, op.sub);
-        cluster.subscribe(op.broker, op.sub);
-        break;
-      case workload::ChurnOpKind::kUnsubscribe: {
-        sim_net.unsubscribe(op.broker, op.id);
-        cluster.unsubscribe(op.broker, op.id);
-        break;
-      }
-      case workload::ChurnOpKind::kPublish: {
-        const auto sim_got = sim_net.publish(op.broker, op.pub);
-        const auto tcp_got = cluster.publish(op.broker, op.pub);
-        EXPECT_EQ(sim_got, tcp_got) << "publish #" << publishes;
-        ++publishes;
-        break;
-      }
-      default:
-        break;  // kAdvance: wall clock needs no driving
-    }
-  }
+  const core::Subscription wide({{0.0, 100.0}}, 1);
+  const core::Subscription narrow({{40.0, 60.0}}, 2);
+  sim_net.subscribe(0, wide);
+  cluster.subscribe(0, wide);
+  sim_net.subscribe(0, narrow);
+  cluster.subscribe(0, narrow);
+  const std::uint64_t before = sim_net.metrics().subscription_messages;
+  sim_net.unsubscribe(0, 1);
+  cluster.unsubscribe(0, 1);
+  // The sim side proves the path is exercised: one promotion message per
+  // hop of the chain.
+  EXPECT_EQ(sim_net.metrics().subscription_messages - before, 2u);
+
+  const core::Publication pub({50.0});
+  const std::vector<core::SubscriptionId> want{2};
+  EXPECT_EQ(sim_net.publish(2, pub), want);
+  EXPECT_EQ(cluster.publish(2, pub), want);
   cluster.shutdown();
-  EXPECT_GT(publishes, 0u);
 }
 
 TEST(TcpTransportTest, KillBrokerMidTraceEscalatesWithoutDivergence) {
