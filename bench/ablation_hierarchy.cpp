@@ -17,12 +17,12 @@ int main(int argc, char** argv) {
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const util::Flags flags(argc, argv);
   const auto pubs = static_cast<std::size_t>(flags.get_int("pubs", 5000));
-  util::Timer total;
+  bench::Timer total;
 
-  util::print_banner(std::cout, "Ablation: flat vs hierarchical covered matching (Section 4.4)",
+  bench::print_banner(std::cout, "Ablation: flat vs hierarchical covered matching (Section 4.4)",
                      std::to_string(pubs) + " uniform publications per cell");
 
-  util::TableWriter table({"subs", "covered", "flat exam/pub", "tree exam/pub",
+  bench::TableWriter table({"subs", "covered", "flat exam/pub", "tree exam/pub",
                            "flat ms", "tree ms"},
                           4);
 
@@ -55,11 +55,11 @@ int main(int argc, char** argv) {
           stream_config.domain_hi, rng));
     }
 
-    util::Timer flat_timer;
+    bench::Timer flat_timer;
     for (const auto& pub : workload_pubs) (void)flat.match(pub);
     const double flat_ms = flat_timer.elapsed_millis();
 
-    util::Timer tree_timer;
+    bench::Timer tree_timer;
     for (const auto& pub : workload_pubs) (void)tree.match(pub);
     const double tree_ms = tree_timer.elapsed_millis();
 

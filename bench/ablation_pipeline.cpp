@@ -30,9 +30,9 @@ struct Variant {
 int main(int argc, char** argv) {
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const auto runs = args.runs_or(200);
-  util::Timer total;
+  bench::Timer total;
 
-  util::print_banner(std::cout, "Ablation: pipeline stages (fast paths / MCS / prefilter)",
+  bench::print_banner(std::cout, "Ablation: pipeline stages (fast paths / MCS / prefilter)",
                      "mixed scenario stream; m=6, k=40; instances=" +
                          std::to_string(runs * 4) + " per variant");
 
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   variants[3].config.use_mcs = false;
   variants[3].config.prefilter_intersecting = false;
 
-  util::TableWriter table({"variant", "pairwise", "witness", "mcs-empty",
+  bench::TableWriter table({"variant", "pairwise", "witness", "mcs-empty",
                            "rspc-no", "rspc-yes", "avg-iters", "avg-cands",
                            "wrong", "ms"},
                           4);
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     std::array<long long, 6> paths{};
     util::RunningStats iters, cands;
     long long wrong = 0;
-    util::Timer timer;
+    bench::Timer timer;
     for (std::int64_t run = 0; run < runs; ++run) {
       for (int family = 0; family < 4; ++family) {
         workload::Instance inst;

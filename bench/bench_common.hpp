@@ -15,19 +15,38 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/flags.hpp"
-#include "util/json_writer.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/table_writer.hpp"
-#include "util/timer.hpp"
 #include "wire/byte_buffer.hpp"
 #include "wire/codec.hpp"
 #include "workload/churn_workload.hpp"
 
+#include "json_writer.hpp"
+#include "table_writer.hpp"
+
 namespace psc::bench {
+
+/// Monotonic wall-clock stopwatch started at construction.
+class Timer {
+ public:
+  Timer() noexcept : start_(Clock::now()) {}
+
+  [[nodiscard]] double elapsed_seconds() const noexcept {
+    return std::chrono::duration<double>(Clock::now() - start_).count();
+  }
+
+  [[nodiscard]] double elapsed_millis() const noexcept {
+    return elapsed_seconds() * 1e3;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point start_;
+};
 
 // --- failure reproducibility --------------------------------------------
 //
@@ -141,7 +160,7 @@ SectionResult time_section(const std::string& name, std::uint64_t ops, Op&& op) 
   return latencies.section(name, ops, elapsed);
 }
 
-inline void write_section(util::JsonWriter& json, const SectionResult& result) {
+inline void write_section(JsonWriter& json, const SectionResult& result) {
   json.begin_object(result.name);
   json.member("ops", result.ops);
   json.member("ops_per_sec", result.ops_per_sec);
@@ -149,6 +168,28 @@ inline void write_section(util::JsonWriter& json, const SectionResult& result) {
   json.member("p99_ns", result.p99_ns);
   json.end_object();
 }
+
+/// One harness's JSON report file: an object opened with the "bench" name
+/// and closed, then announced on stdout, when the report goes out of scope.
+struct JsonReport {
+  std::string path;
+  std::ofstream out;
+  JsonWriter json;
+
+  JsonReport(const std::string& file, std::string_view bench)
+      : path(file), out(file), json(out) {
+    if (!out) throw std::runtime_error("cannot open --json path: " + file);
+    json.begin_object();
+    json.member("bench", bench);
+  }
+  ~JsonReport() {
+    json.end_object();
+    out << '\n';
+    std::cout << "\njson written to " << path << "\n";
+  }
+  JsonReport(const JsonReport&) = delete;
+  JsonReport& operator=(const JsonReport&) = delete;
+};
 
 struct HarnessArgs {
   std::int64_t runs = 0;       ///< 0 = use the harness default
@@ -169,8 +210,8 @@ struct HarnessArgs {
   }
 };
 
-inline void finish(const util::TableWriter& table, const HarnessArgs& args,
-                   const util::Timer& timer) {
+inline void finish(const TableWriter& table, const HarnessArgs& args,
+                   const Timer& timer) {
   table.print(std::cout);
   if (!args.csv_path.empty()) {
     table.write_csv(args.csv_path);

@@ -19,17 +19,17 @@ int main(int argc, char** argv) {
   using namespace psc;
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const auto runs = args.runs_or(100);
-  util::Timer timer;
+  bench::Timer timer;
 
-  util::print_banner(std::cout, "Figure 6: redundant-subscription reduction (covering case)",
+  bench::print_banner(std::cout, "Figure 6: redundant-subscription reduction (covering case)",
                      "MCS removal ratio; scenario 1.b; delta=1e-10; runs/cell=" +
                          std::to_string(runs));
 
-  util::TableWriter table({"k", "m=10", "m=15", "m=20"}, 4);
+  bench::TableWriter table({"k", "m=10", "m=15", "m=20"}, 4);
   util::Rng rng(args.seed);
 
   for (const std::size_t k : bench::paper_k_sweep()) {
-    std::vector<util::Cell> row{static_cast<long long>(k)};
+    std::vector<bench::Cell> row{static_cast<long long>(k)};
     for (const std::size_t m : bench::paper_m_values()) {
       workload::ScenarioConfig config;
       config.attribute_count = m;

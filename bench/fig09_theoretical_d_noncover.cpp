@@ -28,14 +28,14 @@ int main(int argc, char** argv) {
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const auto runs = args.runs_or(50);
   const double delta = 1e-10;
-  util::Timer timer;
+  bench::Timer timer;
 
-  util::print_banner(std::cout,
+  bench::print_banner(std::cout,
                      "Figure 9: theoretical log10(d), non-cover scenario",
                      "Equation 1 bound before/after MCS; delta=1e-10; runs/cell=" +
                          std::to_string(runs));
 
-  util::TableWriter table({"k", "m=10", "m=15", "m=20", "m=10;MCS", "m=15;MCS",
+  bench::TableWriter table({"k", "m=10", "m=15", "m=20", "m=10;MCS", "m=15;MCS",
                            "m=20;MCS"},
                           4);
   util::Rng rng(args.seed);

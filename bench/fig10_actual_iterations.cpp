@@ -13,12 +13,12 @@ int main(int argc, char** argv) {
   using namespace psc;
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const auto runs = args.runs_or(100);
-  util::Timer timer;
+  bench::Timer timer;
 
-  util::print_banner(std::cout, "Figure 10: actual RSPC iterations, non-cover scenario",
+  bench::print_banner(std::cout, "Figure 10: actual RSPC iterations, non-cover scenario",
                      "full pipeline; delta=1e-10; runs/cell=" + std::to_string(runs));
 
-  util::TableWriter table({"k", "m=10", "m=15", "m=20", "m=10;MCS", "m=15;MCS",
+  bench::TableWriter table({"k", "m=10", "m=15", "m=20", "m=10;MCS", "m=15;MCS",
                            "m=20;MCS"},
                           4);
   util::Rng rng(args.seed);

@@ -17,13 +17,13 @@ int main(int argc, char** argv) {
   using namespace psc;
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const auto runs = args.runs_or(1000);
-  util::Timer timer;
+  bench::Timer timer;
 
-  util::print_banner(std::cout, "Figure 11: actual iterations vs gap size (extreme non-cover)",
+  bench::print_banner(std::cout, "Figure 11: actual iterations vs gap size (extreme non-cover)",
                      "k=50, m=5; probabilistic core isolated; runs/cell=" +
                          std::to_string(runs));
 
-  util::TableWriter table(
+  bench::TableWriter table(
       {"gap%", "err=1e-3", "err=1e-6", "err=1e-10"}, 5);
   util::Rng rng(args.seed);
 
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   const std::vector<double> deltas{1e-3, 1e-6, 1e-10};
   for (int gap_step = 1; gap_step <= 9; ++gap_step) {
     const double gap = 0.005 * gap_step;
-    std::vector<util::Cell> row{gap * 100.0};
+    std::vector<bench::Cell> row{gap * 100.0};
     for (const double delta : deltas) {
       core::EngineConfig engine_config;
       engine_config.delta = delta;

@@ -24,9 +24,9 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto total_subs = static_cast<std::size_t>(flags.get_int("subs", 2000));
   const std::size_t report_every = std::max<std::size_t>(1, total_subs / 10);
-  util::Timer timer;
+  bench::Timer timer;
 
-  util::print_banner(std::cout, "Figure 13: active-set growth, pairwise vs group coverage",
+  bench::print_banner(std::cout, "Figure 13: active-set growth, pairwise vs group coverage",
                      "comparison scenario; delta=1e-6; stream length=" +
                          std::to_string(total_subs));
 
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     headers.push_back("m=" + std::to_string(m) + ",pair");
     headers.push_back("m=" + std::to_string(m) + ",group");
   }
-  util::TableWriter table(std::move(headers));
+  bench::TableWriter table(std::move(headers));
 
   // One pass per m: feed identical streams into both stores and sample the
   // active-set size every report_every subscriptions.
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   }
 
   for (std::size_t c = 0; c < checkpoints; ++c) {
-    std::vector<util::Cell> row{
+    std::vector<bench::Cell> row{
         static_cast<long long>((c + 1) * report_every)};
     for (const long long v : series[c]) row.push_back(v);
     table.add_row(std::move(row));

@@ -15,13 +15,13 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto total_subs = static_cast<std::size_t>(flags.get_int("subs", 2000));
   const std::size_t report_every = std::max<std::size_t>(1, total_subs / 10);
-  util::Timer timer;
+  bench::Timer timer;
 
-  util::print_banner(std::cout, "Figure 14: group/pairwise active-set size ratio",
+  bench::print_banner(std::cout, "Figure 14: group/pairwise active-set size ratio",
                      "comparison scenario; delta=1e-6; stream length=" +
                          std::to_string(total_subs));
 
-  util::TableWriter table({"subs", "m=10", "m=15", "m=20"}, 4);
+  bench::TableWriter table({"subs", "m=10", "m=15", "m=20"}, 4);
   const std::size_t checkpoints = total_subs / report_every;
   std::vector<std::vector<double>> ratios(checkpoints);
 

@@ -14,14 +14,12 @@
 //   emits (one "scales" block per k, sections match_active_flat /
 //   match_active_index), so scripts/check_bench.py can gate this harness
 //   exactly like BENCH_core.json instead of parsing free-form text.
-#include <fstream>
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/publication.hpp"
 #include "store/subscription_store.hpp"
-#include "util/json_writer.hpp"
 #include "util/simd.hpp"
 #include "workload/comparison_stream.hpp"
 #include "workload/publications.hpp"
@@ -71,7 +69,7 @@ int main(int argc, char** argv) {
   const auto max_actives = static_cast<std::size_t>(
       util::Flags(argc, argv).get_int("max-actives", 10'000));
   const std::string json_path = util::Flags(argc, argv).get_string("json", "");
-  const util::Timer timer;
+  const bench::Timer timer;
 
   // Wide schema, sparse selective predicates: the standard pub/sub
   // assumption (each subscriber constrains a handful of many attributes,
@@ -87,12 +85,12 @@ int main(int argc, char** argv) {
   workload_config.zipf_skew = 0.3;           // spread popularity
   workload_config.center_cluster_scale = 0.35;  // spread interest centers
 
-  util::print_banner(std::cout, "index_scaling",
+  bench::print_banner(std::cout, "index_scaling",
                      "flat scan vs IntervalIndex on the store hot paths");
   std::cout << "simd backend: " << simd::backend_name() << "\n";
 
   // ---- part 1: publication matching over k actives -----------------------
-  util::TableWriter match_table(
+  bench::TableWriter match_table(
       {"actives", "pubs", "flat_us/pub", "index_us/pub", "speedup",
        "matches"},
       3);
@@ -146,18 +144,18 @@ int main(int argc, char** argv) {
   match_table.print(std::cout);
 
   // ---- part 2: group-policy insertion with candidate pruning -------------
-  util::TableWriter insert_table(
+  bench::TableWriter insert_table(
       {"inserts", "flat_ms", "index_ms", "speedup", "active_flat",
        "active_index"},
       3);
   for (const std::size_t k : {500UL, 1'000UL, 2'000UL}) {
     if (k > max_actives) continue;
-    util::Timer flat_timer;
+    bench::Timer flat_timer;
     auto flat = populate(k, false, store::CoveragePolicy::kGroup,
                          workload_config, args.seed);
     const double flat_ms = flat_timer.elapsed_millis();
 
-    util::Timer index_timer;
+    bench::Timer index_timer;
     auto indexed = populate(k, true, store::CoveragePolicy::kGroup,
                             workload_config, args.seed);
     const double index_ms = index_timer.elapsed_millis();
@@ -175,14 +173,8 @@ int main(int argc, char** argv) {
     std::cout << "\ncsv written to " << args.csv_path << "\n";
   }
   if (!json_path.empty()) {
-    std::ofstream out_file(json_path);
-    if (!out_file) {
-      std::cerr << "cannot open --json path: " << json_path << "\n";
-      return 1;
-    }
-    util::JsonWriter json(out_file);
-    json.begin_object();
-    json.member("bench", "index_scaling");
+    bench::JsonReport report(json_path, "index_scaling");
+    bench::JsonWriter& json = report.json;
     json.member("seed", args.seed);
     json.begin_object("simd");
     json.member("backend", simd::backend_name());
@@ -210,9 +202,6 @@ int main(int argc, char** argv) {
     json.member("oracle_divergences", std::uint64_t{0});
     json.end_object();
     json.member("checksum_sink", checksum_sink);
-    json.end_object();
-    out_file << '\n';
-    std::cout << "\njson written to " << json_path << "\n";
   }
   std::cout << "\nelapsed: " << timer.elapsed_seconds() << " s\n";
   return 0;

@@ -24,88 +24,35 @@
 // jitter/reorder delays), so cascades — including retransmit storms —
 // always quiesce inside half a slot. Sim-seconds are free; --ops fixes
 // the amount of work per run.
-//
-// Failure reproducibility: a tripped gate dumps the trace (PSCT, with
-// embedded universe, fault rates, and burst schedule) and prints the
-// exact --replay one-liner. The link-protocol knobs ride the command
-// line, not the trace, so pass the same --rto/--retries/... on replay.
 #include <algorithm>
-#include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
-#include "routing/link_channel.hpp"
-#include "routing/topology.hpp"
-#include "sim/churn_driver.hpp"
-#include "util/json_writer.hpp"
-#include "workload/churn_workload.hpp"
+#include "soak_common.hpp"
 
 namespace {
 
 using namespace psc;
 
-struct SoakResult {
-  std::string name;
-  std::uint64_t seed = 0;
-  std::size_t brokers = 0;
-  workload::ChurnTrace trace;
-  sim::ChurnReport report;
-  double elapsed_seconds = 0.0;
-  bool bursts_scripted = false;
-
-  [[nodiscard]] bool gates_pass() const {
-    const sim::Metrics& m = report.totals;
-    // Oracle exactness through every fault and escalation…
-    if (report.mismatched_publishes != 0 || m.notifications_lost != 0 ||
-        m.notifications_duplicated != 0 ||
-        report.membership.ghost_routes != 0) {
-      return false;
-    }
-    // …and proof the protocol actually fought a hostile wire.
-    return m.frames_dropped > 0 && m.retransmits > 0 && m.acks_sent > 0;
-  }
-};
-
-routing::BrokerNetwork build_from_universe(
-    const routing::MembershipUniverse& universe,
-    routing::NetworkConfig config) {
-  routing::BrokerNetwork net(config);
-  for (std::size_t i = 0; i < universe.brokers; ++i) (void)net.add_broker();
-  for (const auto& [a, b] : universe.links) net.connect(a, b);
-  return net;
+/// Oracle exactness through every fault and escalation, and proof the
+/// protocol actually fought a hostile wire.
+bool gates_pass(const sim::ChurnReport& report) {
+  const sim::Metrics& m = report.totals;
+  return bench::oracle_exact(report) && m.frames_dropped > 0 &&
+         m.retransmits > 0 && m.acks_sent > 0;
 }
 
-/// Slot sizing under faults: half a slot must clear the worst-case
-/// cascade, where one hop can cost the whole retransmit-backoff chain.
-workload::ChurnConfig shape_time(workload::ChurnConfig config,
-                                 const routing::LinkConfig& link,
-                                 std::size_t max_brokers, std::size_t ops) {
-  config.faults.cascade_hop_bound = link.worst_hop_delay(config.link_latency);
-  config.slot = 2.2 * static_cast<double>(max_brokers + 1) *
-                config.faults.cascade_hop_bound;
-  config.epoch_length = config.slot * 50.0;
-  config.duration = config.slot * static_cast<double>(ops);
-  return config;
-}
-
-void write_json(const std::string& path, const workload::ChurnConfig& config,
-                const routing::LinkConfig& link, store::CoveragePolicy policy,
-                const std::vector<SoakResult>& results) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open --json path: " + path);
-  util::JsonWriter json(out);
-  json.begin_object();
-  json.member("bench", "lossy_soak");
-  json.member("policy", store::to_string(policy));
+void write_json(const bench::SoakArgs& args,
+                const workload::ChurnConfig& config,
+                const routing::LinkConfig& link,
+                const std::vector<bench::SoakRun>& runs) {
+  bench::JsonReport report(args.json_path, "lossy_soak");
+  bench::JsonWriter& json = report.json;
+  json.member("policy", store::to_string(args.policy));
   json.begin_object("config");
   json.member("link_latency", config.link_latency);
-  json.member("drop", link.faults.drop_probability);
-  json.member("dup", link.faults.dup_probability);
-  json.member("reorder", link.faults.reorder_probability);
-  json.member("jitter", link.faults.delay_jitter);
+  bench::write_fault_rates(json, link.faults);
   json.member("burst_count", std::uint64_t{config.faults.burst_count});
   json.member("burst_length", config.faults.burst_length);
   json.member("rto", link.effective_rto(config.link_latency));
@@ -114,22 +61,17 @@ void write_json(const std::string& path, const workload::ChurnConfig& config,
   json.member("window", std::uint64_t{link.window});
   json.end_object();
   json.begin_array("runs");
-  for (const SoakResult& result : results) {
-    const sim::ChurnReport& report = result.report;
+  for (const bench::SoakRun& run : runs) {
+    const sim::ChurnReport& report = run.report;
     const sim::Metrics& m = report.totals;
     json.begin_object();
-    json.member("name", result.name);
-    json.member("seed", result.seed);
-    // Shaped per run: the slot scales with this overlay's broker cap and
-    // the protocol's worst-case hop delay (rto chain + jitter).
-    json.member("slot", result.trace.config.slot);
-    json.member("cascade_hop_bound",
-                result.trace.config.faults.cascade_hop_bound);
-    json.member("brokers", std::uint64_t{result.brokers});
-    json.member("ops", std::uint64_t{report.ops});
-    json.member("publishes", std::uint64_t{report.publishes});
-    json.member("delivered", m.notifications_delivered);
-    json.member("lost", m.notifications_lost);
+    json.member("name", run.name);
+    json.member("seed", run.seed);
+    // Shaped per run: the slot scales with this overlay's broker cap
+    // and the protocol's worst-case hop delay (rto chain + jitter).
+    json.member("slot", run.trace.config.slot);
+    json.member("cascade_hop_bound", run.trace.config.faults.cascade_hop_bound);
+    bench::write_run_totals(json, run);
     json.member("duplicated", m.notifications_duplicated);
     json.member("mismatched_publishes", report.mismatched_publishes);
     json.member("ghost_routes", std::uint64_t{report.membership.ghost_routes});
@@ -149,13 +91,11 @@ void write_json(const std::string& path, const workload::ChurnConfig& config,
     json.member("skipped_link_heals",
                 std::uint64_t{report.membership.skipped_link_heals});
     json.end_object();
-    json.member("gates_pass", result.gates_pass());
-    json.member("elapsed_seconds", result.elapsed_seconds);
+    json.member("gates_pass", gates_pass(report));
+    json.member("elapsed_seconds", run.elapsed_seconds);
     json.end_object();
   }
   json.end_array();
-  json.end_object();
-  out << '\n';
 }
 
 }  // namespace
@@ -163,17 +103,12 @@ void write_json(const std::string& path, const workload::ChurnConfig& config,
 int main(int argc, char** argv) {
   using namespace psc;
   const util::Flags flags(argc, argv);
-
+  const bench::SoakArgs args(flags);
   const auto brokers = static_cast<std::size_t>(flags.get_int("brokers", 24));
   const auto ops = static_cast<std::size_t>(flags.get_int("ops", 400));
   const auto seed_count = static_cast<std::size_t>(flags.get_int("seeds", 3));
-  const auto base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 2006));
-  const auto policy =
-      store::parse_coverage_policy(flags.get_string("policy", "exact"));
   const bool differential = flags.get_bool("differential", true);
   const bool with_membership = flags.get_bool("membership", true);
-  const std::string json_path = flags.get_string("json", "");
-  const std::string topology_filter = flags.get_string("topology", "");
   const std::string dump_dir = flags.get_string("dump-dir", ".");
   const std::string replay_path = flags.get_string("replay", "");
 
@@ -181,10 +116,7 @@ int main(int argc, char** argv) {
   config.link_latency = flags.get_double("latency", 0.0001);
   config.subscription_rate = flags.get_double("sub-rate", 2.0);
   config.publication_rate = flags.get_double("pub-rate", 4.0);
-  config.faults.link.drop_probability = flags.get_double("drop", 0.2);
-  config.faults.link.dup_probability = flags.get_double("dup", 0.1);
-  config.faults.link.reorder_probability = flags.get_double("reorder", 0.1);
-  config.faults.link.delay_jitter = flags.get_double("jitter", 0.5);
+  config.faults.link = bench::read_fault_flags(flags, 0.2, 0.1, 0.1, 0.5);
   config.faults.burst_count =
       static_cast<std::size_t>(flags.get_int("bursts", 4));
 
@@ -202,108 +134,69 @@ int main(int argc, char** argv) {
   link.max_retries = static_cast<std::size_t>(flags.get_int("retries", 12));
   link.window = static_cast<std::size_t>(flags.get_int("window", 128));
   link.faults = config.faults.link;
+  routing::NetworkConfig net_config =
+      args.network().link_latency(config.link_latency).link(link).build();
 
-  store::StoreConfig store_config;
-  store_config.policy = policy;
-  routing::NetworkConfig net_config = routing::NetworkConfig::Builder()
-                                          .store(store_config)
-                                          .link_latency(config.link_latency)
-                                          .link(link)
-                                          .build();
+  bench::print_banner(std::cout, "lossy_soak",
+                      "drop/dup/reorder/burst wire faults, oracle-gated");
 
-  util::print_banner(std::cout, "lossy_soak",
-                     "drop/dup/reorder/burst wire faults, oracle-gated");
-
-  util::TableWriter table({"topology", "seed", "brokers", "ops", "publishes",
-                           "delivered", "mismatch", "dup", "ghosts", "dropped",
-                           "retx", "dupsup", "escal", "seconds"});
-  std::vector<SoakResult> results;
-  std::vector<std::string> failures;
+  bench::TableWriter table({"topology", "seed", "brokers", "ops", "publishes",
+                            "delivered", "mismatch", "dup", "ghosts", "dropped",
+                            "retx", "dupsup", "escal", "seconds"});
+  std::vector<bench::SoakRun> runs;
+  std::size_t failures = 0;
   bool any_bursts_scripted = false;
 
   const auto run_one = [&](const std::string& name, std::uint64_t seed,
-                           std::size_t broker_count, routing::BrokerNetwork net,
-                           workload::ChurnTrace trace) {
-    SoakResult result;
-    result.name = name;
-    result.seed = seed;
-    result.brokers = broker_count;
-    result.bursts_scripted = !trace.bursts.empty();
-    result.trace = std::move(trace);
-    any_bursts_scripted |= result.bursts_scripted;
-    const util::Timer timer;
+                           routing::BrokerNetwork net, workload::ChurnTrace trace) {
+    any_bursts_scripted |= !trace.bursts.empty();
     sim::ChurnDriver::Options driver_options;
     driver_options.differential = differential;
-    result.report = sim::ChurnDriver::run(net, result.trace, driver_options);
-    result.elapsed_seconds = timer.elapsed_seconds();
-
-    const sim::ChurnReport& report = result.report;
-    table.add_row({result.name, static_cast<long long>(seed),
-                   static_cast<long long>(result.brokers),
-                   static_cast<long long>(report.ops),
-                   static_cast<long long>(report.publishes),
-                   static_cast<long long>(report.totals.notifications_delivered),
-                   static_cast<long long>(report.mismatched_publishes),
-                   static_cast<long long>(report.totals.notifications_duplicated),
-                   static_cast<long long>(report.membership.ghost_routes),
-                   static_cast<long long>(report.totals.frames_dropped),
-                   static_cast<long long>(report.totals.retransmits),
-                   static_cast<long long>(report.totals.dups_suppressed),
-                   static_cast<long long>(report.membership.link_escalations),
-                   result.elapsed_seconds});
-
-    if (differential && !result.gates_pass()) {
-      const std::string dump = dump_dir + "/lossy_soak_fail_" + result.name +
-                               "_" + std::to_string(seed) + ".psct";
-      bench::write_trace_file(dump, result.trace);
-      std::cerr << "\nGATE FAILURE on " << result.name << " (seed " << seed
-                << ", policy " << store::to_string(policy) << "):\n"
-                << "  mismatched=" << report.mismatched_publishes
-                << " lost=" << report.totals.notifications_lost
-                << " duplicated=" << report.totals.notifications_duplicated
-                << " ghosts=" << report.membership.ghost_routes
-                << " dropped=" << report.totals.frames_dropped
-                << " retransmits=" << report.totals.retransmits << "\n"
-                << "  trace dumped; replay with:\n"
-                << "    ./lossy_soak --replay=" << dump << " --seed=" << seed
-                << " --policy=" << store::to_string(policy)
-                << " --rto=" << link.rto << " --rto-max=" << link.rto_max
-                << " --retries=" << link.max_retries
-                << " --window=" << link.window << "\n";
-      failures.push_back(result.name + "/" + std::to_string(seed));
+    runs.push_back(
+        bench::run_soak(name, seed, net, std::move(trace), driver_options));
+    const bench::SoakRun& run = runs.back();
+    const sim::ChurnReport& report = run.report;
+    const sim::Metrics& totals = report.totals;
+    using bench::count;
+    table.add_row({run.name, count(seed), count(run.brokers), count(report.ops),
+                   count(report.publishes),
+                   count(totals.notifications_delivered),
+                   count(report.mismatched_publishes),
+                   count(totals.notifications_duplicated),
+                   count(report.membership.ghost_routes),
+                   count(totals.frames_dropped), count(totals.retransmits),
+                   count(totals.dups_suppressed),
+                   count(report.membership.link_escalations),
+                   run.elapsed_seconds});
+    if (differential && !gates_pass(report)) {
+      bench::dump_gate_failure("lossy_soak", dump_dir, run, args.policy)
+          << " --rto=" << link.rto << " --rto-max=" << link.rto_max
+          << " --retries=" << link.max_retries << " --window=" << link.window
+          << "\n";
+      ++failures;
     }
-    results.push_back(std::move(result));
   };
 
   if (!replay_path.empty()) {
-    workload::ChurnTrace trace = bench::read_trace_file(replay_path);
-    config = trace.config;  // the dump carries slot/faults/rates verbatim
-    net_config.link_latency = trace.config.link_latency;
-    net_config.link.faults = trace.config.faults.link;
-    net_config.seed = trace.seed;
-    if (trace.has_membership) {
-      const std::size_t replay_brokers = trace.universe.brokers;
-      auto net = build_from_universe(trace.universe, net_config);
-      run_one("replay", trace.seed, replay_brokers, std::move(net),
-              std::move(trace));
-    } else {
-      std::cerr << "replay file has no membership universe: " << replay_path
-                << "\n";
-      return 2;
-    }
+    auto trace = bench::read_membership_trace(replay_path);
+    if (!trace) return 2;
+    config = trace->config;  // the dump carries slot/faults/rates verbatim
+    net_config.link_latency = config.link_latency;
+    net_config.link.faults = config.faults.link;
+    net_config.seed = trace->seed;
+    auto net = bench::build_from_universe(trace->universe, net_config);
+    run_one("replay", trace->seed, std::move(net), std::move(*trace));
   } else {
     for (const routing::MembershipTopology& topology :
-         routing::membership_topologies(brokers, base_seed)) {
-      if (!topology_filter.empty() &&
-          topology.name.find(topology_filter) == std::string::npos) {
-        continue;
-      }
+         routing::membership_topologies(brokers, args.seed)) {
+      if (!args.selects(topology.name)) continue;
       for (std::size_t s = 0; s < seed_count; ++s) {
-        const std::uint64_t seed = base_seed + s;
+        const std::uint64_t seed = args.seed + s;
         workload::ChurnConfig shaped = config;
         shaped.membership.max_brokers =
             topology.brokers + std::max<std::size_t>(8, topology.brokers / 16);
-        shaped = shape_time(shaped, link, shaped.membership.max_brokers, ops);
+        bench::shape_lossy_slot(shaped, link, shaped.membership.max_brokers);
+        shaped.duration = shaped.slot * static_cast<double>(ops);
         if (with_membership) {
           // Per-slot event budgets, expressed against the derived slot
           // width so the trace sees the same churn density at any scale.
@@ -320,7 +213,7 @@ int main(int argc, char** argv) {
         run_config.seed = seed;  // per-seed fault substreams
         routing::BrokerNetwork net = topology.build(run_config);
         const routing::MembershipUniverse universe = topology.universe(net);
-        run_one(topology.name, seed, topology.brokers, std::move(net),
+        run_one(topology.name, seed, std::move(net),
                 workload::generate_churn_trace(shaped, universe, seed));
       }
     }
@@ -331,24 +224,17 @@ int main(int argc, char** argv) {
   // forces an escalation if traffic crosses its link inside the window,
   // but across topologies x seeds the degradation path must fire.
   std::size_t total_escalations = 0;
-  for (const SoakResult& result : results) {
-    total_escalations += result.report.membership.link_escalations;
+  for (const bench::SoakRun& run : runs) {
+    total_escalations += run.report.membership.link_escalations;
   }
   if (differential && any_bursts_scripted && total_escalations == 0) {
     std::cerr << "\nFAIL: scripted bursts never escalated into fail_link\n";
-    failures.push_back("escalation-coverage");
+    ++failures;
   }
+  if (!args.json_path.empty()) write_json(args, config, link, runs);
 
-  if (!json_path.empty()) {
-    write_json(json_path, config, link, policy, results);
-    std::cout << "\njson written to " << json_path << "\n";
-  }
-
-  if (!failures.empty()) {
-    std::cerr << "\nFAIL: gates tripped on " << failures.size() << " run(s)\n";
-    return 1;
-  }
-  std::cout << "\nall lossy-link gates passed (" << results.size() << " runs, "
+  if (failures > 0) return bench::gate_status(failures);
+  std::cout << "\nall lossy-link gates passed (" << runs.size() << " runs, "
             << total_escalations << " escalations mirrored)\n";
   return 0;
 }

@@ -53,7 +53,6 @@
 // speedup threshold (tiny sizes are all noise).
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <span>
 #include <string>
@@ -67,7 +66,6 @@
 #include "routing/publish_pipeline.hpp"
 #include "routing/topology.hpp"
 #include "sim/churn_driver.hpp"
-#include "util/json_writer.hpp"
 #include "util/simd.hpp"
 #include "workload/churn_workload.hpp"
 #include "workload/comparison_stream.hpp"
@@ -149,7 +147,7 @@ int main(int argc, char** argv) {
   }
   const std::size_t actives = actives_tiers.front();  // primary tier
 
-  util::print_banner(std::cout, "perf_gate",
+  bench::print_banner(std::cout, "perf_gate",
                      "hot-path throughput/latency trajectory + oracle gates");
   std::cout << "simd backend: " << simd::backend_name() << "\n\n";
 
@@ -488,7 +486,7 @@ int main(int argc, char** argv) {
   std::vector<routing::Broker::PublicationRoute> pipe_routes;
   const SectionResult broker_publish_pipelined = [&] {
     bench::LatencyRecorder latencies;
-    const util::Timer timer;
+    const bench::Timer timer;
     std::uint64_t done = 0;
     while (done < queries) {
       const std::uint64_t n = std::min(pipeline_chunk, queries - done);
@@ -548,7 +546,7 @@ int main(int argc, char** argv) {
       const auto trace =
           workload::generate_churn_trace(churn_config, topology.brokers, seed);
       auto net = topology.build(net_config);
-      const util::Timer timer;
+      const bench::Timer timer;
       sim::ChurnDriver::Options driver_options;
       driver_options.differential = true;
       driver_options.pipelined_publish = true;
@@ -571,7 +569,7 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------------------------------- table
-  util::TableWriter table(
+  bench::TableWriter table(
       {"section", "actives", "ops", "ops_per_sec", "p50_ns", "p99_ns"});
   for (const ScaleResult& scale : scales) {
     for (const SectionResult* r :
@@ -599,17 +597,12 @@ int main(int argc, char** argv) {
   }
 
   // ----------------------------------------------------------------- json
-  // Top-level config/sections describe the PRIMARY tier (schema-compatible
-  // with pre-multi-scale consumers); "scales" carries every tier.
+  // Top-level config/sections describe the PRIMARY tier and hold the
+  // sections measured there only; the index-bound sections of every tier,
+  // the primary one included, live in "scales".
   if (!json_path.empty()) {
-    std::ofstream out_file(json_path);
-    if (!out_file) {
-      std::cerr << "cannot open --json path: " << json_path << "\n";
-      return 1;
-    }
-    util::JsonWriter json(out_file);
-    json.begin_object();
-    json.member("bench", "perf_gate");
+    bench::JsonReport report(json_path, "perf_gate");
+    bench::JsonWriter& json = report.json;
     json.member("seed", seed);
     json.member("small", small);
     json.begin_object("simd");
@@ -624,9 +617,6 @@ int main(int argc, char** argv) {
     json.member("soak_duration", soak_duration);
     json.end_object();
     json.begin_object("sections");
-    write_section(json, primary.stab);
-    write_section(json, primary.box);
-    write_section(json, primary.churn_amortized);
     write_section(json, churn_eager);
     json.begin_object(engine_rspc.name);
     json.member("ops", engine_rspc.ops);
@@ -680,9 +670,6 @@ int main(int argc, char** argv) {
                 small ? 0.0 : 3.0);
     json.end_object();
     json.member("checksum_sink", sink);  // defeats dead-code elimination
-    json.end_object();
-    out_file << '\n';
-    std::cout << "\njson written to " << json_path << "\n";
   }
 
   // ---------------------------------------------------------------- gates

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.runs_or(2'000));
   const std::size_t actives =
       static_cast<std::size_t>(flags.get_int("actives", 100'000));
-  const util::Timer timer;
+  const bench::Timer timer;
 
   // Same wide-schema workload as bench/index_scaling: 20 attributes, 2-6
   // selective predicates per subscription.
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   workload_config.zipf_skew = 0.3;
   workload_config.center_cluster_scale = 0.35;
 
-  util::print_banner(std::cout, "shard_scaling",
+  bench::print_banner(std::cout, "shard_scaling",
                      "ShardedStore batch throughput vs shard count");
 
   exec::ThreadPool pool;  // default: hardware lanes
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  util::TableWriter table({"shards", "build_ms", "match_ms", "kpubs/s",
+  bench::TableWriter table({"shards", "build_ms", "match_ms", "kpubs/s",
                            "speedup", "matches"},
                           3);
   double baseline_match_ms = 0.0;
@@ -98,12 +98,12 @@ int main(int argc, char** argv) {
   for (const std::size_t shards : {1UL, 2UL, 4UL, 8UL}) {
     exec::ShardedStore store(shard_config(shards), args.seed);
 
-    util::Timer build_timer;
+    bench::Timer build_timer;
     (void)store.insert_batch(subs, &pool);
     const double build_ms = build_timer.elapsed_millis();
 
     (void)store.match_active_batch(pubs, &pool);  // warm-up pass
-    util::Timer match_timer;
+    bench::Timer match_timer;
     const auto results = store.match_active_batch(pubs, &pool);
     const double match_ms = match_timer.elapsed_millis();
 

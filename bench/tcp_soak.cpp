@@ -21,16 +21,14 @@
 // that gate (recording-only: no perf baseline comparison for TCP runs,
 // wall-clock here is scheduler noise, not a regression signal).
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "net/cluster.hpp"
 #include "net/cluster_driver.hpp"
-#include "util/json_writer.hpp"
+#include "soak_common.hpp"
 
 #ifndef PSC_BROKERD_BIN
 #define PSC_BROKERD_BIN ""
@@ -99,17 +97,14 @@ struct SoakResult {
 void write_json(const std::string& path, std::size_t brokers,
                 const std::string& policy,
                 const std::vector<SoakResult>& results) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open --json path: " + path);
   std::uint64_t total_divergences = 0;
   std::uint64_t total_publishes = 0;
   for (const SoakResult& result : results) {
     total_divergences += result.report.divergences;
     total_publishes += result.report.publishes;
   }
-  util::JsonWriter json(out);
-  json.begin_object();
-  json.member("bench", "tcp_soak");
+  bench::JsonReport report(path, "tcp_soak");
+  bench::JsonWriter& json = report.json;
   json.member("policy", policy);
   json.member("brokers", std::uint64_t{brokers});
   json.begin_array("runs");
@@ -135,8 +130,6 @@ void write_json(const std::string& path, std::size_t brokers,
   json.member("oracle_divergences", total_divergences);
   json.member("total_publishes", total_publishes);
   json.end_object();
-  json.end_object();
-  out << '\n';
 }
 
 }  // namespace
@@ -163,10 +156,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  util::print_banner(std::cout, "tcp_soak",
+  bench::print_banner(std::cout, "tcp_soak",
                      "multi-process TCP cluster vs FlatOracle, loopback");
 
-  util::TableWriter table({"topology", "seed", "leg", "brokers", "ops",
+  bench::TableWriter table({"topology", "seed", "leg", "brokers", "ops",
                            "publishes", "skipped", "divergences", "seconds"});
   std::vector<SoakResult> results;
   std::vector<std::string> failures;
@@ -194,7 +187,7 @@ int main(int argc, char** argv) {
     result.name = topology.name + "/" + leg;
     result.seed = seed;
     result.brokers = brokers;
-    const util::Timer timer;
+    const bench::Timer timer;
     net::Cluster cluster(std::move(options));
     cluster.start();
     result.report = net::replay_trace_vs_oracle(cluster, trace, replay);
@@ -240,14 +233,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  if (!json_path.empty()) {
-    write_json(json_path, brokers, policy, results);
-    std::cout << "\njson written to " << json_path << "\n";
-  }
-  if (!failures.empty()) {
-    std::cerr << "\nFAIL: gates tripped on " << failures.size() << " run(s)\n";
-    return 1;
-  }
+  if (!json_path.empty()) write_json(json_path, brokers, policy, results);
+  if (!failures.empty()) return bench::gate_status(failures.size());
   std::cout << "\nall tcp-loopback gates passed (" << results.size()
             << " runs)\n";
   return 0;

@@ -60,13 +60,13 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto subs = static_cast<std::size_t>(flags.get_int("subs", 150));
   const auto pubs = static_cast<std::size_t>(flags.get_int("pubs", 300));
-  util::Timer timer;
+  bench::Timer timer;
 
-  util::print_banner(std::cout, "Distributed traffic: coverage policy x topology",
+  bench::print_banner(std::cout, "Distributed traffic: coverage policy x topology",
                      std::to_string(kBrokers) + " brokers, " + std::to_string(subs) +
                          " subscriptions, " + std::to_string(pubs) + " publications");
 
-  util::TableWriter table({"topology", "policy", "sub_msgs", "suppressed",
+  bench::TableWriter table({"topology", "policy", "sub_msgs", "suppressed",
                            "pub_msgs", "delivery", "lost"},
                           4);
 

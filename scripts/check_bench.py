@@ -29,8 +29,13 @@ tiers are paired positionally — tier i of the current run against tier i
 of the baseline — and each pair independently picks two-sided or one-sided
 mode from its own configs, so a --small smoke (tiers 2k/6k) gates cleanly
 against the full baseline (tiers 100k/1M) without tripping the small-scale
-mode for the whole file. Files without "scales" (pre-multi-scale
-baselines) fall back to the top-level sections only.
+mode for the whole file.
+
+The primary block is the top-level config with the top-level sections
+plus tier 0's sections: perf_gate records the index-bound sections (stab,
+box_intersect, insert_erase_churn_amortized) of its primary tier only
+once, in scales[0], and the primary comparison and ratchets read them
+there. Files without "scales" use the top-level sections alone.
 
 Asymmetry fails loudly: a gated section present in only one file, a tier
 present in only one file, or a "scales" block on only one side is an exit-1
@@ -191,6 +196,14 @@ def compare_sections(base_config, base_sections, cur_config, cur_sections,
                 f"{base_p99:.1f} (allowed {allowed_rise * 100.0:.0f}%)")
 
 
+def primary_sections(blob):
+    """Top-level sections plus the primary tier's (scales[0]) sections."""
+    scales = blob.get("scales", [])
+    sections = dict(scales[0].get("sections", {})) if scales else {}
+    sections.update(blob.get("sections", {}))
+    return sections
+
+
 def check_ratchet(config, sections, label, failures, require_all=False):
     """Absolute floors, applied to every block at exactly REFERENCE_SCALE.
 
@@ -238,7 +251,7 @@ def main():
                         help="max fractional ops/sec drop (default 0.30)")
     parser.add_argument("--sections", default=",".join(DEFAULT_SECTIONS),
                         help="comma-separated gated section names "
-                             "(top-level sections block)")
+                             "(primary block)")
     args = parser.parse_args()
 
     current = load(args.current)
@@ -305,8 +318,8 @@ def main():
 
     rows = []
     gated = [name for name in args.sections.split(",") if name]
-    compare_sections(baseline.get("config", {}), baseline.get("sections", {}),
-                     current.get("config", {}), current.get("sections", {}),
+    compare_sections(baseline.get("config", {}), primary_sections(baseline),
+                     current.get("config", {}), primary_sections(current),
                      gated, args.threshold, "(primary)", rows, failures)
 
     # Scale tiers, paired positionally: perf_gate tiers carry
@@ -345,7 +358,7 @@ def main():
     # Absolute ratchets at the reference scale, on BOTH files (the
     # committed baseline must itself stay above the floors).
     for name, blob in (("baseline", baseline), ("current", current)):
-        check_ratchet(blob.get("config", {}), blob.get("sections", {}),
+        check_ratchet(blob.get("config", {}), primary_sections(blob),
                       f"{name} (primary)", failures, require_all=True)
         for scale in blob.get("scales", []):
             actives = scale.get("config", {}).get("actives")

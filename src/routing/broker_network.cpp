@@ -16,7 +16,25 @@ using core::Publication;
 using core::Subscription;
 using core::SubscriptionId;
 
-BrokerNetwork::BrokerNetwork(NetworkConfig config) : config_(config) {}
+BrokerNetwork::BrokerNetwork(NetworkConfig config)
+    : config_(config), anchor_(std::make_unique<Anchor>(this)) {}
+
+BrokerNetwork::BrokerNetwork(BrokerNetwork&& other) noexcept
+    : config_(other.config_),
+      anchor_(std::move(other.anchor_)),
+      brokers_(std::move(other.brokers_)),
+      link_state_(std::move(other.link_state_)),
+      local_subs_(std::move(other.local_subs_)),
+      publication_token_(other.publication_token_),
+      pipeline_(std::move(other.pipeline_)),
+      pipeline_routes_(std::move(other.pipeline_routes_)),
+      transport_(std::move(other.transport_)),
+      pending_escalations_(std::move(other.pending_escalations_)),
+      escalated_links_(std::move(other.escalated_links_)),
+      draining_escalations_(other.draining_escalations_),
+      pub_sinks_(std::move(other.pub_sinks_)) {
+  anchor_->net = this;
+}
 
 PublishPipeline& BrokerNetwork::ensure_pipeline() {
   if (!pipeline_) {
@@ -27,34 +45,38 @@ PublishPipeline& BrokerNetwork::ensure_pipeline() {
 
 SimTransport& BrokerNetwork::ensure_transport() {
   if (!transport_) {
+    Anchor* anchor = anchor_.get();
     transport_ = std::make_unique<SimTransport>(
-        queue_, metrics_, config_.link, config_.link_latency, config_.seed,
-        [this](BrokerId a, BrokerId b) {
-          pending_escalations_.emplace_back(a, b);
+        anchor->queue, anchor->metrics, config_.link, config_.link_latency,
+        config_.seed, [anchor](BrokerId a, BrokerId b) {
+          anchor->net->pending_escalations_.emplace_back(a, b);
         });
     transport_->set_frame_handler(
-        [this](BrokerId from, BrokerId to, const wire::Announcement& msg) {
-          brokers_.at(to)->on_frame(hop_context(), from, msg);
+        [anchor](BrokerId from, BrokerId to, const wire::Announcement& msg) {
+          BrokerNetwork& net = *anchor->net;
+          net.brokers_.at(to)->on_frame(net.hop_context(), from, msg);
         });
   }
   return *transport_;
 }
 
 HopContext BrokerNetwork::hop_context() {
-  return HopContext{ensure_transport(), *this, metrics_, publish_scratch_};
+  return HopContext{ensure_transport(), *anchor_, anchor_->metrics,
+                    anchor_->scratch};
 }
 
-void BrokerNetwork::deliver_local(std::uint64_t token,
-                                  std::span<const SubscriptionId> ids) {
+void BrokerNetwork::Anchor::deliver_local(std::uint64_t token,
+                                          std::span<const SubscriptionId> ids) {
   // Stale tokens (a frame outliving its publish call) resolve to no sink.
-  const auto sink = pub_sinks_.find(token);
-  if (sink == pub_sinks_.end() || sink->second == nullptr) return;
+  const auto sink = net->pub_sinks_.find(token);
+  if (sink == net->pub_sinks_.end() || sink->second == nullptr) return;
   sink->second->insert(sink->second->end(), ids.begin(), ids.end());
 }
 
-RuntimeHost::Liveness BrokerNetwork::liveness(SubscriptionId id) const {
-  const auto live = local_subs_.find(id);
-  if (live == local_subs_.end()) return {};
+RuntimeHost::Liveness BrokerNetwork::Anchor::liveness(
+    SubscriptionId id) const {
+  const auto live = net->local_subs_.find(id);
+  if (live == net->local_subs_.end()) return {};
   return {true, live->second.expiry};
 }
 
@@ -330,7 +352,7 @@ void BrokerNetwork::attach_link(BrokerId a, BrokerId b) {
 BrokerId BrokerNetwork::add_peer(BrokerId attach_to) {
   ensure_membership();
   require_alive(attach_to, "add_peer");
-  ++metrics_.membership_events;
+  ++anchor_->metrics.membership_events;
   const BrokerId id = add_broker();  // syncs link_state_'s broker count
   link_state_->add_link(attach_to, id);
   attach_link(attach_to, id);
@@ -341,7 +363,7 @@ BrokerId BrokerNetwork::add_peer(BrokerId attach_to) {
 void BrokerNetwork::remove_peer(BrokerId broker) {
   ensure_membership();
   require_alive(broker, "remove_peer");
-  ++metrics_.membership_events;
+  ++anchor_->metrics.membership_events;
   // 1. Graceful departure takes its clients with it: unsubscribe every
   //    registry entry homed here (ascending id), full cascade each.
   std::vector<SubscriptionId> homed;
@@ -366,7 +388,7 @@ void BrokerNetwork::remove_peer(BrokerId broker) {
 
 void BrokerNetwork::fail_link(BrokerId a, BrokerId b) {
   ensure_membership();
-  ++metrics_.membership_events;
+  ++anchor_->metrics.membership_events;
   link_state_->fail_link(a, b);
   detach_and_purge(a, b);
   detach_and_purge(b, a);
@@ -376,7 +398,7 @@ void BrokerNetwork::fail_link(BrokerId a, BrokerId b) {
 
 void BrokerNetwork::heal_link(BrokerId a, BrokerId b) {
   ensure_membership();
-  ++metrics_.membership_events;
+  ++anchor_->metrics.membership_events;
   link_state_->heal_link(a, b);
   attach_link(a, b);
   drain_escalations();
@@ -390,7 +412,7 @@ void BrokerNetwork::add_standby_link(BrokerId a, BrokerId b) {
 void BrokerNetwork::crash_peer(BrokerId broker) {
   ensure_membership();
   require_alive(broker, "crash_peer");
-  ++metrics_.membership_events;
+  ++anchor_->metrics.membership_events;
   const auto downed = link_state_->crash_peer(broker);
   // Crash-stop: state is lost wholesale. Registry entries homed here stay
   // (their clients are unaware); TTL timers in the queue keep firing and
@@ -412,7 +434,7 @@ BrokerNetwork::ReplaceOutcome BrokerNetwork::replace_peer(
   if (link_state_->is_alive(broker)) {
     throw std::logic_error("BrokerNetwork::replace_peer: broker is alive");
   }
-  ++metrics_.membership_events;
+  ++anchor_->metrics.membership_events;
   ReplaceOutcome outcome;
   outcome.healed_links = link_state_->replace_peer(broker);
 
@@ -497,23 +519,26 @@ void BrokerNetwork::subscribe_with_ttl(BrokerId broker, const Subscription& sub,
     throw std::invalid_argument("BrokerNetwork::subscribe_with_ttl: ttl <= 0");
   }
   require_alive(broker, "subscribe_with_ttl");
-  const sim::SimTime expiry = queue_.now() + ttl;
+  const sim::SimTime expiry = anchor_->queue.now() + ttl;
   local_subs_.emplace(sub.id(), LocalSub{broker, sub, expiry});
   brokers_[broker]->on_subscription(hop_context(), sub,
                                     Origin{true, kInvalidBroker}, expiry);
   // The subscriber side forgets the subscription at expiry too.
   (void)ensure_transport().schedule_timer_at(
-      expiry, [this, id = sub.id()]() { local_subs_.erase(id); });
+      expiry, [anchor = anchor_.get(), id = sub.id()]() {
+        anchor->net->local_subs_.erase(id);
+      });
   run_cascade();
   drain_escalations();
 }
 
 void BrokerNetwork::run_cascade() {
+  sim::EventQueue& queue = anchor_->queue;
   if (!config_.link.enabled) {
     const sim::SimTime horizon =
-        queue_.now() +
+        queue.now() +
         static_cast<sim::SimTime>(brokers_.size() + 1) * config_.link_latency;
-    queue_.run_until(horizon);
+    queue.run_until(horizon);
     return;
   }
   // Lossy wire: a hop can stretch to a whole retransmit-backoff chain, so
@@ -522,15 +547,15 @@ void BrokerNetwork::run_cascade() {
   // run_until here would fast-forward past mid-slot TTL expiry instants,
   // breaking the workload time contract.
   const sim::SimTime deadline =
-      queue_.now() + static_cast<sim::SimTime>(brokers_.size() + 1) *
-                         config_.link.worst_hop_delay(config_.link_latency);
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
-    queue_.run_step();
+      queue.now() + static_cast<sim::SimTime>(brokers_.size() + 1) *
+                        config_.link.worst_hop_delay(config_.link_latency);
+  while (!queue.empty() && queue.next_time() <= deadline) {
+    queue.run_step();
   }
 }
 
 void BrokerNetwork::advance_time(sim::SimTime horizon) {
-  queue_.run_until(horizon);
+  anchor_->queue.run_until(horizon);
   drain_escalations();
 }
 
@@ -551,16 +576,16 @@ void BrokerNetwork::account_delivery(BrokerId source, const Publication& pub,
   const std::size_t raw = ids.size();
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  metrics_.notifications_duplicated += raw - ids.size();
+  anchor_->metrics.notifications_duplicated += raw - ids.size();
 
   // Loss accounting against ground truth (component-aware once membership
   // is engaged — a partitioned subscriber is unreachable, not lost).
   const std::vector<SubscriptionId> expected = expected_recipients(source, pub);
   for (const SubscriptionId id : expected) {
     if (std::binary_search(ids.begin(), ids.end(), id)) {
-      ++metrics_.notifications_delivered;
+      ++anchor_->metrics.notifications_delivered;
     } else {
-      ++metrics_.notifications_lost;
+      ++anchor_->metrics.notifications_lost;
     }
   }
 }
@@ -639,8 +664,8 @@ std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_batch(
                 hop_context(), pub, Origin{true, kInvalidBroker}, token);
           });
     }
-    queue_.schedule_batch_in(0, std::move(injections));
-    queue_.run_step();
+    anchor_->queue.schedule_batch_in(0, std::move(injections));
+    anchor_->queue.run_step();
     run_cascade();
   }
   drain_escalations();
@@ -682,7 +707,7 @@ std::vector<std::uint8_t> BrokerNetwork::snapshot_all() const {
     }
   }
 
-  out.f64(queue_.now());
+  out.f64(anchor_->queue.now());
   out.varint(publication_token_);
 
   // Client subscription registry (canonical id order), with TTL expiries:
@@ -721,10 +746,10 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
   // die with the old queue; metrics restart at zero.
   brokers_.clear();
   local_subs_.clear();
-  queue_ = sim::EventQueue{};
-  metrics_.reset();
+  anchor_->queue = sim::EventQueue{};
+  anchor_->metrics.reset();
   publication_token_ = 0;
-  publish_scratch_ = Broker::PublishScratch{};
+  anchor_->scratch = Broker::PublishScratch{};
   link_state_.reset();
   // Transport state is runtime-only (snapshots are taken at quiescence,
   // when every stream is fully acked): discard and rebuild lazily, so both
@@ -837,7 +862,7 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
   }
 
   // Clock: an empty-queue run_until is a pure time set.
-  queue_.run_until(now);
+  anchor_->queue.run_until(now);
 
   // Re-arm TTL expiry timers — derived state, not serialized. Per
   // subscription (canonical id order): the home broker's timer, the
@@ -854,7 +879,9 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
     const sim::SimTime expiry = *local.expiry;
     brokers_[local.home]->arm_expiry(hop_context(), sid, expiry);
     (void)ensure_transport().schedule_timer_at(
-        expiry, [this, sid]() { local_subs_.erase(sid); });
+        expiry, [anchor = anchor_.get(), sid]() {
+          anchor->net->local_subs_.erase(sid);
+        });
     for (std::size_t b = 0; b < broker_count; ++b) {
       if (b == local.home || !brokers_[b]->broker().routes(sid)) continue;
       brokers_[b]->arm_expiry(hop_context(), sid, expiry);

@@ -102,9 +102,14 @@ class NetworkConfig::Builder {
   NetworkConfig config_;
 };
 
-class BrokerNetwork : private RuntimeHost {
+class BrokerNetwork {
  public:
   explicit BrokerNetwork(NetworkConfig config = {});
+  /// Movable at any point (topology factories return networks by value):
+  /// pending events reach the network only through its heap-held Anchor,
+  /// which the move re-points at the new object.
+  BrokerNetwork(BrokerNetwork&& other) noexcept;
+  BrokerNetwork& operator=(BrokerNetwork&&) = delete;
 
   /// Adds a broker; ids are dense [0, broker_count).
   BrokerId add_broker();
@@ -256,7 +261,9 @@ class BrokerNetwork : private RuntimeHost {
   /// Advances simulated time to `horizon`, firing due expiries.
   void advance_time(sim::SimTime horizon);
 
-  [[nodiscard]] sim::SimTime now() const noexcept { return queue_.now(); }
+  [[nodiscard]] sim::SimTime now() const noexcept {
+    return anchor_->queue.now();
+  }
 
   /// Client unsubscribes (id must have been subscribed).
   void unsubscribe(BrokerId broker, core::SubscriptionId id);
@@ -303,8 +310,10 @@ class BrokerNetwork : private RuntimeHost {
   [[nodiscard]] const Broker& broker(BrokerId id) const {
     return brokers_.at(id)->broker();
   }
-  [[nodiscard]] const sim::Metrics& metrics() const noexcept { return metrics_; }
-  void reset_metrics() noexcept { metrics_.reset(); }
+  [[nodiscard]] const sim::Metrics& metrics() const noexcept {
+    return anchor_->metrics;
+  }
+  void reset_metrics() noexcept { anchor_->metrics.reset(); }
 
   /// Ground truth: ids of local subscriptions (anywhere) matching `pub`,
   /// ignoring membership (the pre-membership accounting contract).
@@ -349,8 +358,33 @@ class BrokerNetwork : private RuntimeHost {
   void restore_all(std::span<const std::uint8_t> bytes);
 
  private:
+  /// Everything a pending event or a transport callback reaches: the event
+  /// queue itself, the metrics and publish scratch every hop context
+  /// borrows, and the RuntimeHost the runtimes call back. Heap-held so its
+  /// address survives a move of the network; `net` is re-pointed by the
+  /// move constructor.
+  struct Anchor final : RuntimeHost {
+    BrokerNetwork* net;
+    sim::EventQueue queue;
+    sim::Metrics metrics;
+    /// Shared publish scratch for every broker's publication hop: the
+    /// cascade is single-threaded and each hop finishes with the route
+    /// before the next handler runs, so one network-wide scratch keeps
+    /// every broker hop allocation-free once warm.
+    Broker::PublishScratch scratch;
+
+    explicit Anchor(BrokerNetwork* owner) : net(owner) {}
+    Anchor(const Anchor&) = delete;
+    Anchor& operator=(const Anchor&) = delete;
+    // RuntimeHost: local matches go to the publish call's sink for the
+    // token; liveness is the client registry's answer.
+    void deliver_local(std::uint64_t token,
+                       std::span<const core::SubscriptionId> ids) override;
+    [[nodiscard]] Liveness liveness(core::SubscriptionId id) const override;
+  };
+
   NetworkConfig config_;
-  sim::EventQueue queue_;
+  std::unique_ptr<Anchor> anchor_;
   /// One runtime per broker, heap-held: armed expiry timers call back into
   /// their runtime, so its address must survive vector growth.
   std::vector<std::unique_ptr<BrokerRuntime>> brokers_;
@@ -368,13 +402,7 @@ class BrokerNetwork : private RuntimeHost {
     std::optional<sim::SimTime> expiry;
   };
   std::unordered_map<core::SubscriptionId, LocalSub> local_subs_;
-  sim::Metrics metrics_;
   std::uint64_t publication_token_ = 0;
-  /// Shared publish scratch for every broker's publication hop: the
-  /// cascade is single-threaded and each hop finishes with the route before
-  /// the next handler runs, so one network-wide scratch keeps every broker
-  /// hop allocation-free once warm.
-  Broker::PublishScratch publish_scratch_;
   /// Shared staged pipeline: one pipeline — and one set of stage workers —
   /// serves every broker, retargeted per batch. Built lazily on the first
   /// batch publish over perfect links.
@@ -383,8 +411,8 @@ class BrokerNetwork : private RuntimeHost {
 
   /// The hop-delivery transport (the Transport seam): SimTransport over
   /// the event queue — the perfect wire, or LinkChannels when
-  /// config_.link.enabled. Built lazily on first use (its callbacks close
-  /// over `this`, and topology factories return networks by value).
+  /// config_.link.enabled. Built on first use over the Anchor's queue and
+  /// metrics; its callbacks reach the network through the Anchor.
   /// Runtime-only: never serialized; restore_all discards and rebuilds so
   /// both ends of every link protocol stream restart at sequence zero
   /// together.
@@ -408,14 +436,8 @@ class BrokerNetwork : private RuntimeHost {
   /// clock into future expiries.
   void run_cascade();
 
-  // RuntimeHost: local matches go to the publish call's sink for the
-  // token; liveness is the client registry's answer.
-  void deliver_local(std::uint64_t token,
-                     std::span<const core::SubscriptionId> ids) override;
-  [[nodiscard]] Liveness liveness(core::SubscriptionId id) const override;
-
-  /// What every runtime hop borrows from the network (built per call:
-  /// nothing network-owned may be cached across a move).
+  /// What every runtime hop borrows from the network, all of it owned by
+  /// the transport or the Anchor, so armed expiry timers may keep it.
   [[nodiscard]] HopContext hop_context();
 
   PublishPipeline& ensure_pipeline();
@@ -431,8 +453,7 @@ class BrokerNetwork : private RuntimeHost {
   void account_delivery(BrokerId source, const core::Publication& pub,
                         std::vector<core::SubscriptionId>& ids);
 
-  /// Builds the transport on first send (callbacks close over `this`, so
-  /// construction is deferred past the moveable-config phase).
+  /// Builds the transport on first send.
   SimTransport& ensure_transport();
   /// Applies pending retry-cap escalations as fail_link calls, looping
   /// until none remain (a purge cascade can escalate further links).

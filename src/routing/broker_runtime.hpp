@@ -16,12 +16,14 @@
 //                       │
 //                   Transport (send_frame, schedule_timer_at)
 //
-// Nothing here caches a pointer into its harness: BrokerNetwork is returned
-// by value from its topology factories, so the transport, metrics, publish
-// scratch and host travel with every call in a HopContext. A runtime's own
-// address must stay stable while its expiry timers are armed (the timers
-// call back into it); a crash wipes the Broker through reset(), never the
-// runtime, so pending timers resolve against the fresh broker as no-ops.
+// A runtime caches no pointer into its harness: the transport, metrics,
+// publish scratch and host travel with every call in a HopContext, and an
+// armed expiry timer keeps its call's context, so a harness hands out only
+// addresses that outlive its own moves (BrokerNetwork's heap-held Anchor).
+// A runtime's own address must stay stable while its expiry timers are
+// armed (the timers call back into it); a crash wipes the Broker through
+// reset(), never the runtime, so pending timers resolve against the fresh
+// broker as no-ops.
 #pragma once
 
 #include <cstdint>

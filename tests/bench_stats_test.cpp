@@ -1,9 +1,12 @@
-// Pins the LatencyRecorder percentile contract in bench/bench_common.hpp
-// (ISSUE 8 satellite): rank math at small sample counts must interpolate
-// — p99 of a 100-op smoke run is NOT the max and never reads past the
-// end — recording after a query must re-sort, the empty recorder is safe,
-// and section() folds samples into the shared gate schema correctly.
+// Tests for the bench harness helpers. Pins the LatencyRecorder percentile
+// contract in bench/bench_common.hpp: rank math at small sample counts
+// must interpolate — p99 of a 100-op smoke run is NOT the max and never
+// reads past the end — recording after a query must re-sort, the empty
+// recorder is safe, and section() folds samples into the shared gate
+// schema correctly. Also covers TableWriter output and the Timer.
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "bench/bench_common.hpp"
 
@@ -76,6 +79,42 @@ TEST(LatencyRecorder, TimeRecordsOneSamplePerInvocation) {
   EXPECT_EQ(runs, 5);
   EXPECT_EQ(latencies.count(), 5u);
   EXPECT_GE(latencies.percentile(0.0), 0.0);
+}
+
+TEST(TableWriter, AlignedOutputAndCsv) {
+  TableWriter table({"k", "ratio"});
+  table.add_row({static_cast<long long>(10), 0.5});
+  table.add_row({static_cast<long long>(310), 0.925});
+  std::ostringstream text;
+  table.print(text);
+  EXPECT_NE(text.str().find("ratio"), std::string::npos);
+  EXPECT_NE(text.str().find("310"), std::string::npos);
+
+  std::ostringstream csv;
+  table.write_csv(csv);
+  EXPECT_NE(csv.str().find("k,ratio"), std::string::npos);
+  EXPECT_NE(csv.str().find("310,0.925"), std::string::npos);
+}
+
+TEST(TableWriter, RowWidthMismatchThrows) {
+  TableWriter table({"a", "b"});
+  EXPECT_THROW(table.add_row({1.0}), std::invalid_argument);
+}
+
+TEST(TableWriter, CsvEscapesCommas) {
+  TableWriter table({"name"});
+  table.add_row({std::string("a,b")});
+  std::ostringstream csv;
+  table.write_csv(csv);
+  EXPECT_NE(csv.str().find("\"a,b\""), std::string::npos);
+}
+
+TEST(Timer, MeasuresElapsed) {
+  Timer timer;
+  volatile double sink = 0;
+  for (int i = 0; i < 100'000; ++i) sink = sink + 1.0;
+  EXPECT_GE(timer.elapsed_seconds(), 0.0);
+  EXPECT_GE(timer.elapsed_millis(), timer.elapsed_seconds() * 0.0);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Tests for the Section 5 chain-propagation model (Equation 2).
-#include "routing/chain_model.hpp"
+#include "bench/chain_model.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-namespace psc::routing {
+namespace psc::bench {
 namespace {
 
 TEST(ChainModel, SingleBrokerIsJustRho) {
@@ -103,4 +103,4 @@ TEST(ChainModel, InvalidParamsThrow) {
 }
 
 }  // namespace
-}  // namespace psc::routing
+}  // namespace psc::bench

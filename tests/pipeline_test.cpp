@@ -8,12 +8,10 @@
 // cross-thread exactly as production does.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <span>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "routing/broker.hpp"
 #include "routing/publish_pipeline.hpp"
 #include "route_reference.hpp"
@@ -22,53 +20,12 @@
 #include "workload/comparison_stream.hpp"
 #include "workload/publications.hpp"
 
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-std::atomic<bool> g_counting{false};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* ptr = std::malloc(size)) return ptr;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return operator new(size); }
-
-// Out of line: GCC 12 otherwise inlines free() into callers whose pointer
-// it saw come from operator new, and warns -Wmismatched-new-delete.
-[[gnu::noinline]] void operator delete(void* ptr) noexcept { std::free(ptr); }
-[[gnu::noinline]] void operator delete[](void* ptr) noexcept { std::free(ptr); }
-[[gnu::noinline]] void operator delete(void* ptr, std::size_t) noexcept {
-  std::free(ptr);
-}
-[[gnu::noinline]] void operator delete[](void* ptr, std::size_t) noexcept {
-  std::free(ptr);
-}
-
 namespace psc::routing {
 namespace {
 
 using core::Publication;
 using core::Subscription;
 using core::SubscriptionId;
-
-class AllocationGuard {
- public:
-  AllocationGuard() {
-    g_allocations.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-  }
-  ~AllocationGuard() { g_counting.store(false, std::memory_order_relaxed); }
-
-  [[nodiscard]] std::uint64_t count() const {
-    return g_allocations.load(std::memory_order_relaxed);
-  }
-};
 
 constexpr std::size_t kAttrs = 4;
 

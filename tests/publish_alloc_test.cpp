@@ -5,43 +5,18 @@
 // Broker::handle_publication over the publish lanes with caller-owned
 // PublishScratch.
 //
-// Counting is done by overriding the global allocation functions for this
-// test binary (same harness as tests/workspace_alloc_test.cpp). The
-// counters are plain atomics so instrumentation itself does not allocate.
+// Counting replaces the global allocation functions for this test binary
+// (tests/alloc_counter.hpp).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "route_reference.hpp"
 #include "routing/broker.hpp"
 #include "store/subscription_store.hpp"
 #include "workload/comparison_stream.hpp"
 #include "workload/publications.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-std::atomic<bool> g_counting{false};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* ptr = std::malloc(size)) return ptr;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return operator new(size); }
-
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 
 namespace psc {
 namespace {
@@ -49,19 +24,6 @@ namespace {
 using core::Publication;
 using core::Subscription;
 using core::SubscriptionId;
-
-class AllocationGuard {
- public:
-  AllocationGuard() {
-    g_allocations.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-  }
-  ~AllocationGuard() { g_counting.store(false, std::memory_order_relaxed); }
-
-  [[nodiscard]] std::uint64_t count() const {
-    return g_allocations.load(std::memory_order_relaxed);
-  }
-};
 
 std::vector<Publication> make_publications(std::size_t n, std::size_t attrs,
                                            std::uint64_t seed) {

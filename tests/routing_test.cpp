@@ -211,6 +211,31 @@ TEST(BrokerNetwork, PromotedTtlSubscriptionStillExpiresAfterReannounce) {
   EXPECT_EQ(net.local_subscription_count(), 0u);
 }
 
+TEST(BrokerNetwork, MovedNetworkKeepsDelivering) {
+  // A network moved after its first cascade must still deliver: the
+  // transport's callbacks and queue may not point into the moved-from one.
+  auto a = BrokerNetwork::chain_topology(3);
+  a.subscribe(0, Subscription({Interval{0, 100}}, 1));
+  auto b = std::move(a);
+  EXPECT_EQ(b.publish(2, Publication({50.0})), (std::vector<SubscriptionId>{1}));
+  EXPECT_EQ(b.metrics().notifications_lost, 0u);
+}
+
+TEST(BrokerNetwork, MovedNetworkKeepsTtlTimers) {
+  // Expiry timers armed before the move fire on the moved-to network.
+  auto a = BrokerNetwork::chain_topology(3);
+  a.subscribe_with_ttl(0, Subscription({Interval{0, 100}}, 1), 5.0);
+  auto b = std::move(a);
+  EXPECT_EQ(b.publish(2, Publication({50.0})), (std::vector<SubscriptionId>{1}));
+  b.advance_time(6.0);
+  EXPECT_EQ(b.local_subscription_count(), 0u);
+  for (BrokerId id = 0; id < 3; ++id) {
+    EXPECT_EQ(b.broker(id).routing_table_size(), 0u);
+  }
+  EXPECT_TRUE(b.publish(2, Publication({50.0})).empty());
+  EXPECT_EQ(b.metrics().notifications_lost, 0u);
+}
+
 TEST(BrokerNetwork, ExpectedRecipientsGroundTruth) {
   auto net = BrokerNetwork::chain_topology(
       3, with_policy(store::CoveragePolicy::kPairwise));

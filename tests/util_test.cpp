@@ -1,17 +1,13 @@
-// Tests for the util substrate: RNG, distributions, statistics, flags and
-// table output.
+// Tests for the util substrate: RNG, distributions, statistics and flags.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
-#include <sstream>
 
 #include "util/distributions.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/table_writer.hpp"
-#include "util/timer.hpp"
 
 namespace psc::util {
 namespace {
@@ -272,42 +268,6 @@ TEST(Flags, BadBooleanThrows) {
   const char* argv[] = {"prog", "--flag=banana"};
   const Flags flags(2, argv);
   EXPECT_THROW((void)flags.get_bool("flag", false), std::invalid_argument);
-}
-
-TEST(TableWriter, AlignedOutputAndCsv) {
-  TableWriter table({"k", "ratio"});
-  table.add_row({static_cast<long long>(10), 0.5});
-  table.add_row({static_cast<long long>(310), 0.925});
-  std::ostringstream text;
-  table.print(text);
-  EXPECT_NE(text.str().find("ratio"), std::string::npos);
-  EXPECT_NE(text.str().find("310"), std::string::npos);
-
-  std::ostringstream csv;
-  table.write_csv(csv);
-  EXPECT_NE(csv.str().find("k,ratio"), std::string::npos);
-  EXPECT_NE(csv.str().find("310,0.925"), std::string::npos);
-}
-
-TEST(TableWriter, RowWidthMismatchThrows) {
-  TableWriter table({"a", "b"});
-  EXPECT_THROW(table.add_row({1.0}), std::invalid_argument);
-}
-
-TEST(TableWriter, CsvEscapesCommas) {
-  TableWriter table({"name"});
-  table.add_row({std::string("a,b")});
-  std::ostringstream csv;
-  table.write_csv(csv);
-  EXPECT_NE(csv.str().find("\"a,b\""), std::string::npos);
-}
-
-TEST(Timer, MeasuresElapsed) {
-  Timer timer;
-  volatile double sink = 0;
-  for (int i = 0; i < 100'000; ++i) sink = sink + 1.0;
-  EXPECT_GE(timer.elapsed_seconds(), 0.0);
-  EXPECT_GE(timer.elapsed_millis(), timer.elapsed_seconds() * 0.0);
 }
 
 }  // namespace
