@@ -1,9 +1,10 @@
 // Ablation — what each stage of the Algorithm-4 pipeline contributes.
 //
-// Runs the same mixed instance stream through four engine configurations:
-//   full         fast decisions + MCS + prefilter
-//   no-fast      MCS + prefilter only
-//   no-mcs       fast decisions + prefilter only
+// Runs the same mixed instance stream through five engine configurations:
+//   full         fast decisions + MCS + prefilter + exact residue
+//   no-residue   the paper's Algorithm 4 (fast decisions + MCS + prefilter)
+//   no-fast      MCS + prefilter + exact residue
+//   no-mcs       fast decisions + prefilter + exact residue
 //   rspc-only    bare Monte-Carlo
 // and reports, per configuration: decision-path distribution, mean RSPC
 // iterations, mean candidate-set size at sampling time, wall time, and
@@ -40,17 +41,20 @@ int main(int argc, char** argv) {
   base.delta = 1e-6;
   base.max_iterations = 50'000;
 
-  std::array<Variant, 4> variants{{
+  std::array<Variant, 5> variants{{
       {"full", base},
+      {"no-residue", base},
       {"no-fast", base},
       {"no-mcs", base},
       {"rspc-only", base},
   }};
-  variants[1].config.use_fast_decisions = false;
-  variants[2].config.use_mcs = false;
-  variants[3].config.use_fast_decisions = false;
+  variants[1].config.exact_residue = false;
+  variants[2].config.use_fast_decisions = false;
   variants[3].config.use_mcs = false;
-  variants[3].config.prefilter_intersecting = false;
+  variants[4].config.use_fast_decisions = false;
+  variants[4].config.use_mcs = false;
+  variants[4].config.prefilter_intersecting = false;
+  variants[4].config.exact_residue = false;
 
   bench::TableWriter table({"variant", "pairwise", "witness", "mcs-empty",
                            "rspc-no", "rspc-yes", "avg-iters", "avg-cands",

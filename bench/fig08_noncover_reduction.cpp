@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   util::Rng rng(args.seed);
 
   for (const std::size_t k : bench::paper_k_sweep()) {
-    std::vector<bench::Cell> row{static_cast<long long>(k)};
+    std::vector<double> means;
     for (const std::size_t m : bench::paper_m_values()) {
       workload::ScenarioConfig config;
       config.attribute_count = m;
@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
         reduction.add(static_cast<double>(k - mcs.kept.size()) /
                       static_cast<double>(k));
       }
-      row.push_back(reduction.mean());
+      means.push_back(reduction.mean());
     }
-    table.add_row(std::move(row));
+    table.add_row({static_cast<long long>(k), means[0], means[1], means[2]});
   }
   bench::finish(table, args, timer);
   return 0;

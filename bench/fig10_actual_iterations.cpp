@@ -29,6 +29,9 @@ int main(int argc, char** argv) {
   // The paper's Figure 10 isolates RSPC behaviour: the deterministic
   // Corollary-3 test would answer most instances outright, so it is off.
   with_mcs.use_fast_decisions = false;
+  // ...and so is the exact residue stage, which would answer them without
+  // a single RSPC iteration.
+  with_mcs.exact_residue = false;
   core::EngineConfig without_mcs = with_mcs;
   without_mcs.use_mcs = false;
 

@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
     group_config.policy = store::CoveragePolicy::kGroup;
     group_config.engine.delta = 1e-6;
     group_config.engine.max_iterations = 20'000;
+    group_config.engine.exact_residue = false;  // the paper's engine
 
     store::SubscriptionStore pairwise(pairwise_config, args.seed);
     store::SubscriptionStore group(group_config, args.seed);

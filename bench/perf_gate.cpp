@@ -42,7 +42,11 @@
 //     instances (workload::make_redundant_covering at m = 2, 4, 10, k = 40;
 //     the same in --small runs) with delta = 1e-300, which stretches each
 //     check to ~50x the default trial budget so the RSPC trial loop
-//     dominates it; also records trials_per_sec
+//     dominates it, with the exact residue stage off; also records
+//     trials_per_sec
+//   * engine_residue — the same instances and budget with the exact residue
+//     stage on (every check an exact YES); recording only, never gated:
+//     records checks/sec, p50/p99 and fragment visits per check
 //   * churn_soak     — sim::ChurnDriver over the five standard topologies
 //     with the differential oracle on (ops/sec per topology); runs with
 //     the --pipeline-* sizing + publish coalescing, so the soak
@@ -370,35 +374,64 @@ int main(int argc, char** argv) {
   // union covers s, so every check runs all of its trial budget. At the
   // default delta the conflict table and MCS would outweigh the few
   // hundred trials these instances get; delta = 1e-300 multiplies the
-  // Eq. 1 budget by ln(1e-300) / ln(1e-6) = 50. The instances do not
-  // depend on --small or the tier sizes.
+  // Eq. 1 budget by ln(1e-300) / ln(1e-6) = 50. The exact residue stage is
+  // off: it would answer these instances without a trial. The instances do
+  // not depend on --small or the tier sizes.
+  std::vector<workload::Instance> engine_instances;
+  for (const std::size_t m : {std::size_t{2}, std::size_t{4}, std::size_t{10}}) {
+    workload::ScenarioConfig config;
+    config.attribute_count = m;
+    config.set_size = 40;
+    util::Rng instance_rng(seed + m);
+    engine_instances.push_back(
+        workload::make_redundant_covering(config, instance_rng));
+  }
   std::uint64_t engine_trials = 0;
   const SectionResult engine_rspc = [&] {
-    std::vector<workload::Instance> instances;
-    for (const std::size_t m : {std::size_t{2}, std::size_t{4}, std::size_t{10}}) {
-      workload::ScenarioConfig config;
-      config.attribute_count = m;
-      config.set_size = 40;
-      util::Rng instance_rng(seed + m);
-      instances.push_back(workload::make_redundant_covering(config, instance_rng));
-    }
-    core::SubsumptionEngine engine(core::EngineConfig{.delta = 1e-300}, seed);
+    core::SubsumptionEngine engine(
+        core::EngineConfig{.delta = 1e-300, .exact_residue = false}, seed);
     constexpr std::uint64_t kChecksPerInstance = 200;
     return time_section(
-        "engine_rspc", kChecksPerInstance * instances.size(),
+        "engine_rspc", kChecksPerInstance * engine_instances.size(),
         [&](std::uint64_t i) {
-          const workload::Instance& inst = instances[i % instances.size()];
+          const workload::Instance& inst =
+              engine_instances[i % engine_instances.size()];
           const auto result = engine.check(inst.tested, inst.existing);
-          gate.check(result.path == core::DecisionPath::kRspcProbabilistic,
+          gate.check(result.path == core::DecisionPath::kRspcProbabilistic &&
+                         !result.is_definite,
                      "engine_rspc: instance " +
-                         std::to_string(i % instances.size()) + " answered " +
-                         std::string(core::to_string(result.path)));
+                         std::to_string(i % engine_instances.size()) +
+                         " answered " + std::string(core::to_string(result.path)));
           engine_trials += result.iterations;
         });
   }();
   const double engine_trials_per_sec = static_cast<double>(engine_trials) *
                                        engine_rspc.ops_per_sec /
                                        static_cast<double>(engine_rspc.ops);
+
+  // --- Section: engine_residue (recording only) --------------------------
+  // The same instances and budget with the exact residue stage on: each
+  // check is an exact YES decided by box subtraction instead of d trials.
+  std::uint64_t residue_fragments = 0;
+  const SectionResult engine_residue = [&] {
+    core::SubsumptionEngine engine(core::EngineConfig{.delta = 1e-300}, seed);
+    constexpr std::uint64_t kChecksPerInstance = 1000;
+    return time_section(
+        "engine_residue", kChecksPerInstance * engine_instances.size(),
+        [&](std::uint64_t i) {
+          const workload::Instance& inst =
+              engine_instances[i % engine_instances.size()];
+          const auto result = engine.check(inst.tested, inst.existing);
+          gate.check(result.covered && result.is_definite &&
+                         result.residue_fragments > 0,
+                     "engine_residue: instance " +
+                         std::to_string(i % engine_instances.size()) +
+                         " was not an exact YES");
+          residue_fragments += result.residue_fragments;
+        });
+  }();
+  const double fragments_per_check = static_cast<double>(residue_fragments) /
+                                     static_cast<double>(engine_residue.ops);
 
   // --- Section: broker_publish ------------------------------------------
   // One broker, two links, `actives` routed subscriptions from a mix of
@@ -579,8 +612,8 @@ int main(int argc, char** argv) {
                      r->p99_ns});
     }
   }
-  for (const SectionResult* r : {&churn_eager, &engine_rspc, &broker_publish,
-                                 &broker_publish_pipelined}) {
+  for (const SectionResult* r : {&churn_eager, &engine_rspc, &engine_residue,
+                                 &broker_publish, &broker_publish_pipelined}) {
     table.add_row({r->name, static_cast<long long>(actives),
                    static_cast<long long>(r->ops), r->ops_per_sec, r->p50_ns,
                    r->p99_ns});
@@ -590,6 +623,8 @@ int main(int argc, char** argv) {
             << " actives: " << speedup << "x\n";
   std::cout << "engine_rspc: " << engine_trials_per_sec << " trials/sec ("
             << engine_trials << " trials)\n";
+  std::cout << "engine_residue: " << fragments_per_check
+            << " fragment visits per check (recording only)\n";
   for (const SoakRow& row : soak_rows) {
     std::cout << "soak " << row.name << ": " << row.ops_per_sec
               << " ops/sec, mismatched=" << row.mismatched
@@ -625,6 +660,14 @@ int main(int argc, char** argv) {
     json.member("p99_ns", engine_rspc.p99_ns);
     json.member("trials", engine_trials);
     json.member("trials_per_sec", engine_trials_per_sec);
+    json.end_object();
+    json.begin_object(engine_residue.name);
+    json.member("ops", engine_residue.ops);
+    json.member("ops_per_sec", engine_residue.ops_per_sec);
+    json.member("p50_ns", engine_residue.p50_ns);
+    json.member("p99_ns", engine_residue.p99_ns);
+    json.member("fragments", residue_fragments);
+    json.member("fragments_per_check", fragments_per_check);
     json.end_object();
     write_section(json, broker_publish);
     write_section(json, broker_publish_pipelined);

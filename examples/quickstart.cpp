@@ -50,7 +50,9 @@ int main() {
             << result.original_set_size << "\n"
             << "estimated rho_w:      " << result.rho_w << "\n"
             << "trial bound d:        " << result.trial_budget << "\n"
-            << "trials executed:      " << result.iterations << "\n";
+            << "trials executed:      " << result.iterations << "\n"
+            << "residue fragments:    " << result.residue_fragments
+            << " (non-zero: decided by exact subtraction)\n";
 
   // The error contract is one-sided: a NO is always correct, a YES is
   // wrong with probability at most delta. Flip the instance to a genuine

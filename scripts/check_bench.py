@@ -57,6 +57,11 @@ Correctness is never noise: gates.oracle_divergences must be 0 in both
 files, and every scale block that records scalar/SIMD checksums must have
 them equal.
 
+Recording-only rows: sections in RECORDING_ONLY (perf_gate's
+engine_residue) are printed beside the gated rows, with their ratio to the
+baseline when the baseline has them, but never gated and never required
+on either side; naming one in --sections is an error.
+
 tcp_soak artifacts (bench == "tcp_soak") are recording-only: their
 wall-clock numbers are kernel-scheduler noise (real processes, real
 sockets), so nothing is perf-compared against any baseline — but the
@@ -82,6 +87,9 @@ DEFAULT_SECTIONS = [
 # engine_rspc checks the same instances in --small and full runs): always
 # compared two-sided, threshold + jitter, even across scales.
 SCALE_FREE = {"engine_rspc"}
+# Sections printed for the record and never gated (perf_gate's
+# engine_residue: exact residue checks on the engine_rspc instances).
+RECORDING_ONLY = {"engine_residue"}
 # Sections whose p99 latency is gated alongside throughput: same-scale
 # pairs fail when current p99 rises more than threshold + jitter above the
 # baseline; cross-scale pairs are one-sided (the smaller run's p99 must not
@@ -318,9 +326,23 @@ def main():
 
     rows = []
     gated = [name for name in args.sections.split(",") if name]
+    for name in sorted(RECORDING_ONLY.intersection(gated)):
+        failures.append(f"section {name} is recording-only and cannot be "
+                        "gated")
+    gated = [name for name in gated if name not in RECORDING_ONLY]
     compare_sections(baseline.get("config", {}), primary_sections(baseline),
                      current.get("config", {}), primary_sections(current),
                      gated, args.threshold, "(primary)", rows, failures)
+    for name in sorted(RECORDING_ONLY):
+        cur = primary_sections(current).get(name)
+        if cur is None:
+            continue
+        base_ops = primary_sections(baseline).get(name, {}).get(
+            "ops_per_sec", 0.0)
+        cur_ops = cur.get("ops_per_sec", 0.0)
+        ratio = cur_ops / base_ops if base_ops > 0 else float("nan")
+        rows.append((f"{name} (primary)", base_ops, cur_ops, ratio, 0.0,
+                     "recorded, not gated"))
 
     # Scale tiers, paired positionally: perf_gate tiers carry
     # stab/box_intersect/churn, an index_scaling file carries its

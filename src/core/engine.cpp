@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "core/fast_decisions.hpp"
+#include "util/simd.hpp"
 
 namespace psc::core {
 
@@ -66,6 +67,99 @@ Unbounded clamp_unbounded(const Subscription& s,
     if (r.hi == kInf) r.hi = hi_end + margin;
   }
   return Unbounded::kClamped;
+}
+
+/// Outcome of the residue stage: kUndecided means a bound was hit and the
+/// caller falls through to RSPC.
+enum class Residue { kUndecided, kCovered, kWitness };
+
+/// Exact residue subtraction of the laid-out candidates (descending
+/// overlap with s) from s, depth first. Each fragment carries the lane of
+/// the next candidate to test against it; a candidate that shares positive
+/// measure with the fragment either contains it (dropped) or splits it
+/// into at most 2m positive-measure fragments outside the candidate. A
+/// fragment that passes the last lane untouched is uncovered: its centre
+/// is the witness, left in `ws.rspc.point`. Returns kUndecided, having drawn
+/// nothing from any RNG, when s has zero width on an attribute, the
+/// fragment visits (one candidate tested against one fragment) would
+/// exceed `budget`, more than kResidueFragmentCap fragments would be live,
+/// or the centre is not strictly outside the union (an ulp-wide fragment).
+Residue subtract_residue(const Subscription& s, std::uint64_t budget,
+                         EngineWorkspace& ws, std::uint64_t& visits) {
+  RspcScratch& rspc = ws.rspc;
+  const std::size_t m = s.attribute_count();
+  for (const Interval& r : s.ranges()) {
+    if (!(r.lo < r.hi)) return Residue::kUndecided;
+  }
+  const std::size_t n = rspc.order.size();
+  const std::size_t stride = rspc.stride;
+  const Value* const lo = rspc.lo.data();
+  const Value* const hi = rspc.hi.data();
+  // Fragment f occupies residue[2mf, 2mf + 2m): m lows, then m highs.
+  const std::size_t width = 2 * m;
+  std::size_t live = 0;
+  const auto push = [&](std::size_t next) -> Value* {
+    if (ws.residue.size() < (live + 1) * width) {
+      ws.residue.resize((live + 1) * width);
+    }
+    if (ws.residue_next.size() < live + 1) ws.residue_next.resize(live + 1);
+    ws.residue_next[live] = next;
+    return ws.residue.data() + width * live++;
+  };
+  {
+    Value* const f = push(0);
+    for (std::size_t j = 0; j < m; ++j) {
+      f[j] = s.range(j).lo;
+      f[m + j] = s.range(j).hi;
+    }
+  }
+  ws.residue_box.resize(width);
+  Value* const box = ws.residue_box.data();
+  while (live > 0) {
+    --live;
+    std::copy_n(ws.residue.data() + width * live, width, box);
+    std::size_t i = ws.residue_next[live];
+    for (; i < n; ++i) {
+      if (++visits > budget) return Residue::kUndecided;
+      // Positive-measure overlap on every attribute; false on NaN.
+      std::size_t j = 0;
+      while (j < m && lo[j * stride + i] < box[m + j] &&
+             box[j] < hi[j * stride + i] &&
+             lo[j * stride + i] < hi[j * stride + i]) {
+        ++j;
+      }
+      if (j == m) break;
+    }
+    if (i == n) {
+      rspc.point.resize(m);
+      for (std::size_t j = 0; j < m; ++j) {
+        rspc.point[j] = 0.5 * (box[j] + box[m + j]);
+      }
+      return simd::any_box_contains(rspc.point.data(), lo, hi, m, stride)
+                 ? Residue::kUndecided
+                 : Residue::kWitness;
+    }
+    const std::size_t next = i + 1;
+    for (std::size_t j = 0; j < m; ++j) {
+      const Value cut_lo = lo[j * stride + i];
+      const Value cut_hi = hi[j * stride + i];
+      if (cut_lo > box[j]) {
+        if (live == kResidueFragmentCap) return Residue::kUndecided;
+        Value* const below = push(next);
+        std::copy_n(box, width, below);
+        below[m + j] = cut_lo;
+      }
+      if (cut_hi < box[m + j]) {
+        if (live == kResidueFragmentCap) return Residue::kUndecided;
+        Value* const above = push(next);
+        std::copy_n(box, width, above);
+        above[j] = cut_hi;
+      }
+      box[j] = std::max(box[j], cut_lo);
+      box[m + j] = std::min(box[m + j], cut_hi);
+    }
+  }
+  return Residue::kCovered;
 }
 
 }  // namespace
@@ -213,8 +307,23 @@ SubsumptionResult SubsumptionEngine::check(
   result.trial_budget =
       capped_trials(estimate.rho_w, config_.delta, config_.max_iterations);
 
+  lay_out_candidates(tested, rspc_set, ws_.rspc);
+  if (config_.exact_residue) {
+    std::uint64_t visits = 0;
+    const Residue residue =
+        subtract_residue(tested, result.trial_budget, ws_, visits);
+    if (residue != Residue::kUndecided) {
+      result.residue_fragments = visits;
+      result.covered = residue == Residue::kCovered;
+      result.path = result.covered ? DecisionPath::kRspcProbabilistic
+                                   : DecisionPath::kRspcWitness;
+      if (!result.covered) result.witness = ws_.rspc.point;
+      return result;
+    }
+  }
+
   const RspcResult rspc =
-      run_rspc(tested, rspc_set, result.trial_budget, rng_, ws_.rspc);
+      run_rspc_laid_out(tested, result.trial_budget, rng_, ws_.rspc);
   result.iterations = rspc.iterations;
   if (!rspc.covered) {
     result.covered = false;

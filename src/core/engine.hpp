@@ -1,15 +1,26 @@
 // SubsumptionEngine — the full decision pipeline of the paper's Algorithm 4:
 //
-//   build conflict table
-//     -> Corollary 1 fast YES   (pairwise cover)
-//     -> Corollary 3 fast NO    (sorted-row polyhedron witness)
-//     -> MCS reduction          (empty reduced set => definite NO)
-//     -> rho_w / d estimation   (Algorithm 2 + Equation 1)
-//     -> RSPC                   (definite NO or probabilistic YES)
+//   1. build conflict table
+//   2. Corollary 1 fast YES      (pairwise cover)
+//      Corollary 3 fast NO       (sorted-row polyhedron witness)
+//   3. MCS reduction             (empty reduced set => definite NO)
+//   4. rho_w / d estimation      (Algorithm 2 + Equation 1)
+//   5. exact residue             (definite YES or NO within d fragment
+//                                 visits; else fall through to...)
+//      RSPC                      (definite NO or probabilistic YES)
 //
-// A definite NO is always correct. A probabilistic YES errs with
+// A definite verdict is always correct. A probabilistic YES errs with
 // probability at most delta = (1 - rho_w)^d, the paper's only error mode
 // (a falsely-withheld subscription).
+//
+// The exact residue stage is not in the paper, which samples because exact
+// group subsumption is co-NP complete in general. At the dimensions
+// brokers see after MCS (a few attributes, about ten candidates), though,
+// subtracting the candidate boxes from s takes far fewer steps than the d
+// trials Eq. 1 asks for. The stage gets at most d fragment visits and
+// kResidueFragmentCap live fragments, reads no clock and draws no random
+// number, so when it gives up the RSPC stage runs exactly as it would
+// without it. EngineConfig::exact_residue = false is the paper's engine.
 #pragma once
 
 #include <cstdint>
@@ -27,21 +38,36 @@
 namespace psc::core {
 
 /// How the pipeline reached its verdict.
+///
+/// The last two values are the stage 5 verdicts on the reduced set, the
+/// exact residue stage's as well as RSPC's; SubsumptionResult's
+/// residue_fragments (non-zero) and iterations tell them apart. The residue
+/// stage has no value of its own because consumers index fixed
+/// six-element arrays by this enum (the perfbench tracer among them).
 enum class DecisionPath : std::uint8_t {
   kEmptySet,            ///< no candidate subscriptions: definite NO
   kPairwiseCover,       ///< Corollary 1: definite YES
   kPolyhedronWitness,   ///< Corollary 3: definite NO
   kMcsEmpty,            ///< MCS removed every candidate: definite NO
-  kRspcWitness,         ///< RSPC found a point witness: definite NO
-  kRspcProbabilistic,   ///< RSPC exhausted d trials: probabilistic YES
+  /// Stage 5 found a point witness: definite NO (a residue fragment's
+  /// centre, or an RSPC sample).
+  kRspcWitness,
+  /// Stage 5 found s covered: a definite YES from the residue stage
+  /// (is_definite, iterations == 0), else a probabilistic YES after RSPC
+  /// exhausted d trials.
+  kRspcProbabilistic,
 };
+
+/// Most fragments the exact residue stage keeps live before it gives the
+/// query to RSPC.
+inline constexpr std::size_t kResidueFragmentCap = 1024;
 
 [[nodiscard]] std::string_view to_string(DecisionPath path) noexcept;
 
 /// Full diagnostics for one subsumption query.
 struct SubsumptionResult {
   bool covered = false;              ///< the verdict
-  bool is_definite = true;           ///< false only for kRspcProbabilistic
+  bool is_definite = true;           ///< false only for an RSPC YES
   DecisionPath path = DecisionPath::kEmptySet;
 
   std::size_t original_set_size = 0; ///< k before reduction
@@ -52,8 +78,11 @@ struct SubsumptionResult {
   double theoretical_d = 0.0;        ///< Eq. 1 bound (may be +inf)
   std::uint64_t trial_budget = 0;    ///< capped trials handed to RSPC
   std::uint64_t iterations = 0;      ///< RSPC trials actually executed
+  /// Fragment visits of the exact residue stage when it decided; 0 when
+  /// it did not run or gave the query to RSPC.
+  std::uint64_t residue_fragments = 0;
 
-  /// Point witness when the verdict came from RSPC sampling.
+  /// Point witness when the verdict came from stage 5 (kRspcWitness).
   std::optional<std::vector<Value>> witness;
   /// Row index (into the caller's set) of the covering subscription when
   /// the pairwise fast path fired.
@@ -75,6 +104,9 @@ struct EngineConfig {
   /// union over s) and an order-of-magnitude win on large clustered sets;
   /// off only for tests that exercise the unfiltered paths.
   bool prefilter_intersecting = true;
+  /// Run the exact residue stage between the d estimate and RSPC. Off
+  /// reproduces the paper's Algorithm 4 (and its RNG stream) exactly.
+  bool exact_residue = true;
 };
 
 /// Reusable scratch state for SubsumptionEngine::check. Owned by the
@@ -94,6 +126,9 @@ struct EngineWorkspace {
   std::vector<char> alive;                    ///< MCS alive mask
   std::vector<std::size_t> sorted_counts;     ///< Corollary 3 scratch
   RspcScratch rspc;                           ///< RSPC flat layout + point
+  std::vector<Value> residue;                 ///< live residue fragments
+  std::vector<std::size_t> residue_next;      ///< next lane per fragment
+  std::vector<Value> residue_box;             ///< fragment being cut
 };
 
 /// Stateless-except-RNG checker. One instance may serve many queries; the

@@ -52,13 +52,11 @@ Value overlap_measure(const Subscription& s, const Subscription& c) {
   return measure > 0.0 ? measure : 0.0;
 }
 
-/// Copies the candidates that share s's arity into the flat layout and
-/// returns its stride (lanes per attribute row). A candidate of another
-/// arity never contains a sample point, so it is left out; an all-padding
-/// layout of stride 0 then contains nothing.
-std::size_t lay_out(const Subscription& s,
-                    std::span<const Subscription* const> set,
-                    RspcScratch& scratch) {
+}  // namespace
+
+void lay_out_candidates(const Subscription& s,
+                        std::span<const Subscription* const> set,
+                        RspcScratch& scratch) {
   const std::size_t m = s.attribute_count();
   scratch.order.clear();
   for (const Subscription* c : set) {
@@ -68,7 +66,9 @@ std::size_t lay_out(const Subscription& s,
   }
   std::sort(scratch.order.begin(), scratch.order.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
+  // An all-padding layout of stride 0 contains nothing.
   const std::size_t stride = simd::padded_words(scratch.order.size());
+  scratch.stride = stride;
   scratch.lo.assign(m * stride, kInf);
   scratch.hi.assign(m * stride, -kInf);
   for (std::size_t i = 0; i < scratch.order.size(); ++i) {
@@ -78,10 +78,35 @@ std::size_t lay_out(const Subscription& s,
       scratch.hi[j * stride + i] = ranges[j].hi;
     }
   }
-  return stride;
 }
 
-}  // namespace
+RspcResult run_rspc_laid_out(const Subscription& s, std::uint64_t budget,
+                             util::Rng& rng, RspcScratch& scratch) {
+  RspcResult result;
+  const std::span<const Interval> bounds = s.ranges();
+  for (const Interval& range : bounds) {
+    if (!std::isfinite(range.lo) || !std::isfinite(range.hi)) {
+      throw std::invalid_argument(
+          "run_rspc: unbounded attribute range cannot be sampled uniformly");
+    }
+  }
+  const std::size_t m = bounds.size();
+  scratch.point.resize(m);
+  Value* const point = scratch.point.data();
+  for (std::uint64_t trial = 0; trial < budget; ++trial) {
+    ++result.iterations;
+    for (std::size_t j = 0; j < m; ++j) {
+      point[j] = rng.uniform(bounds[j].lo, bounds[j].hi);
+    }
+    if (!simd::any_box_contains(point, scratch.lo.data(), scratch.hi.data(),
+                                m, scratch.stride)) {
+      result.covered = false;
+      result.witness = scratch.point;
+      return result;
+    }
+  }
+  return result;
+}
 
 RspcResult run_rspc(const Subscription& s,
                     std::span<const Subscription* const> set,
@@ -97,30 +122,8 @@ RspcResult run_rspc(const Subscription& s,
     return result;
   }
   if (budget == 0) return result;
-  const std::span<const Interval> bounds = s.ranges();
-  for (const Interval& range : bounds) {
-    if (!std::isfinite(range.lo) || !std::isfinite(range.hi)) {
-      throw std::invalid_argument(
-          "run_rspc: unbounded attribute range cannot be sampled uniformly");
-    }
-  }
-  const std::size_t m = bounds.size();
-  const std::size_t stride = lay_out(s, set, scratch);
-  scratch.point.resize(m);
-  Value* const point = scratch.point.data();
-  for (std::uint64_t trial = 0; trial < budget; ++trial) {
-    ++result.iterations;
-    for (std::size_t j = 0; j < m; ++j) {
-      point[j] = rng.uniform(bounds[j].lo, bounds[j].hi);
-    }
-    if (!simd::any_box_contains(point, scratch.lo.data(), scratch.hi.data(),
-                                m, stride)) {
-      result.covered = false;
-      result.witness = scratch.point;
-      return result;
-    }
-  }
-  return result;
+  lay_out_candidates(s, set, scratch);
+  return run_rspc_laid_out(s, budget, rng, scratch);
 }
 
 RspcResult run_rspc(const Subscription& s, std::span<const Subscription> set,

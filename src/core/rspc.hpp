@@ -37,7 +37,24 @@ struct RspcScratch {
   simd::AlignedVector<Value> hi;
   std::vector<Value> point;
   std::vector<std::pair<Value, const Subscription*>> order;
+  std::size_t stride = 0;  ///< lanes per attribute row of lo / hi
 };
+
+/// Copies the candidates that share s's arity into `scratch`'s flat layout,
+/// in descending order of their overlap measure with s (order[i] is lane
+/// i), and sets scratch.stride. A candidate of another arity never contains
+/// a point of s, so it is left out. Draws nothing from any RNG.
+void lay_out_candidates(const Subscription& s,
+                        std::span<const Subscription* const> set,
+                        RspcScratch& scratch);
+
+/// The trial loop of run_rspc over a layout lay_out_candidates built for
+/// s: same verdict, iterations, witness and RNG consumption as run_rspc on
+/// the same set. Requires finite ranges on s (throws otherwise).
+[[nodiscard]] RspcResult run_rspc_laid_out(const Subscription& s,
+                                           std::uint64_t budget,
+                                           util::Rng& rng,
+                                           RspcScratch& scratch);
 
 /// Runs RSPC with a fixed trial budget. Cost: O(k * m + k log k) once to
 /// lay out the candidates in descending order of their overlap with s,

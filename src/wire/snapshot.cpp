@@ -156,6 +156,7 @@ void write_network_config(ByteWriter& out, const NetworkConfig& config) {
   out.u8(config.store.engine.use_mcs ? 1 : 0);
   out.f64(config.store.engine.grid_spacing);
   out.u8(config.store.engine.prefilter_intersecting ? 1 : 0);
+  out.u8(config.store.engine.exact_residue ? 1 : 0);  // v4
   // IndexConfig.
   out.f64(config.store.index.domain_lo);
   out.f64(config.store.index.domain_hi);
@@ -202,6 +203,7 @@ NetworkConfig read_network_config(ByteReader& in) {
   config.store.engine.use_mcs = flag("use_mcs");
   config.store.engine.grid_spacing = in.f64();
   config.store.engine.prefilter_intersecting = flag("prefilter_intersecting");
+  config.store.engine.exact_residue = flag("exact_residue");
   config.store.index.domain_lo = in.f64();
   config.store.index.domain_hi = in.f64();
   config.store.index.bucket_count = static_cast<std::size_t>(in.varint());

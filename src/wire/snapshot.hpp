@@ -32,8 +32,10 @@ namespace psc::wire {
 /// Snapshot format version; bump on ANY layout change to a store, broker,
 /// or network body (they version together — a network body embeds the
 /// other two). v3 appends the reliable-link config (NetworkConfig::link)
-/// to the network-config block.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// to the network-config block; v4 adds EngineConfig::exact_residue after
+/// prefilter_intersecting, so a restored network keeps the engine's
+/// decision procedure and with it the RNG stream.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Frame magics ("PSCB" / "PSCN" little-endian).
 inline constexpr std::uint32_t kBrokerSnapshotMagic = 0x42435350U;

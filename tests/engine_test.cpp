@@ -8,6 +8,7 @@
 
 #include "baseline/exact_subsumption.hpp"
 #include "store/subscription_store.hpp"
+#include "workload/scenarios.hpp"
 
 namespace psc::core {
 namespace {
@@ -39,9 +40,11 @@ TEST(Engine, PairwiseCoverFastPath) {
 
 TEST(Engine, PaperCoverExampleIsProbabilisticYes) {
   // Table 3: covered by the union but by no single subscription; the fast
-  // paths are inconclusive and MCS keeps both rows, so the verdict must
-  // come from RSPC as a probabilistic YES.
-  SubsumptionEngine engine(EngineConfig{.delta = 1e-6, .max_iterations = 100'000});
+  // paths are inconclusive and MCS keeps both rows, so with the residue
+  // stage off (the paper's engine) the verdict must come from RSPC as a
+  // probabilistic YES.
+  SubsumptionEngine engine(EngineConfig{
+      .delta = 1e-6, .max_iterations = 100'000, .exact_residue = false});
   const std::vector<Subscription> set{box2(820, 850, 1001, 1007, 1),
                                       box2(840, 880, 1002, 1009, 2)};
   const auto result = engine.check(box2(830, 870, 1003, 1006), set);
@@ -50,6 +53,49 @@ TEST(Engine, PaperCoverExampleIsProbabilisticYes) {
   EXPECT_EQ(result.path, DecisionPath::kRspcProbabilistic);
   EXPECT_EQ(result.reduced_set_size, 2u);
   EXPECT_GT(result.iterations, 0u);
+  EXPECT_EQ(result.residue_fragments, 0u);
+}
+
+TEST(Engine, PaperCoverExampleIsExactYesWithResidue) {
+  // The same instance with the residue stage on: the same verdict, now
+  // definite, with no trial run and no random number drawn.
+  const std::uint64_t seed = 99;
+  SubsumptionEngine engine(
+      EngineConfig{.delta = 1e-6, .max_iterations = 100'000}, seed);
+  const std::vector<Subscription> set{box2(820, 850, 1001, 1007, 1),
+                                      box2(840, 880, 1002, 1009, 2)};
+  const auto result = engine.check(box2(830, 870, 1003, 1006), set);
+  EXPECT_TRUE(result.covered);
+  EXPECT_TRUE(result.is_definite);
+  EXPECT_EQ(result.path, DecisionPath::kRspcProbabilistic);
+  EXPECT_EQ(result.reduced_set_size, 2u);
+  EXPECT_EQ(result.iterations, 0u);
+  EXPECT_GT(result.residue_fragments, 0u);
+  EXPECT_FALSE(result.witness.has_value());
+  EXPECT_EQ(engine.rng().state(), util::Rng(seed).state());
+}
+
+TEST(Engine, ResidueWitnessIsDefiniteNo) {
+  // A 10 %-wide gap that only sampling or subtraction can find (fast
+  // paths and MCS off): the residue stage answers NO with a fragment
+  // centre that lies in s and outside every candidate.
+  const std::uint64_t seed = 5;
+  SubsumptionEngine engine(
+      EngineConfig{.use_fast_decisions = false, .use_mcs = false}, seed);
+  const Subscription s = box2(0, 100, 0, 100);
+  const std::vector<Subscription> set{box2(-1, 45, -1, 101, 1),
+                                      box2(55, 101, -1, 101, 2),
+                                      box2(40, 60, 60, 101, 3)};
+  const auto result = engine.check(s, set);
+  EXPECT_FALSE(result.covered);
+  EXPECT_TRUE(result.is_definite);
+  EXPECT_EQ(result.path, DecisionPath::kRspcWitness);
+  EXPECT_EQ(result.iterations, 0u);
+  EXPECT_GT(result.residue_fragments, 0u);
+  ASSERT_TRUE(result.witness.has_value());
+  EXPECT_TRUE(s.contains_point(*result.witness));
+  EXPECT_FALSE(point_in_union(*result.witness, set));
+  EXPECT_EQ(engine.rng().state(), util::Rng(seed).state());
 }
 
 TEST(Engine, PaperNonCoverExampleIsDefiniteNo) {
@@ -111,6 +157,7 @@ TEST(Engine, ReportsTheoreticalDAndBudget) {
   EngineConfig config;
   config.delta = 1e-6;
   config.max_iterations = 1000;
+  config.exact_residue = false;
   SubsumptionEngine engine(config);
   const std::vector<Subscription> set{box2(820, 850, 1001, 1007, 1),
                                       box2(840, 880, 1002, 1009, 2)};
@@ -120,6 +167,120 @@ TEST(Engine, ReportsTheoreticalDAndBudget) {
   EXPECT_DOUBLE_EQ(result.theoretical_d, 49.0);
   EXPECT_EQ(result.trial_budget, 49u);
   EXPECT_EQ(result.iterations, 49u);  // covered => exhausts budget
+}
+
+TEST(Engine, ReportsTheoreticalDAndBudgetWithResidue) {
+  // The estimate runs before the residue stage, so it reports the same
+  // rho_w, d and budget; the residue stage decides within that budget.
+  EngineConfig config;
+  config.delta = 1e-6;
+  config.max_iterations = 1000;
+  SubsumptionEngine engine(config);
+  const std::vector<Subscription> set{box2(820, 850, 1001, 1007, 1),
+                                      box2(840, 880, 1002, 1009, 2)};
+  const auto result = engine.check(box2(830, 870, 1003, 1006), set);
+  EXPECT_DOUBLE_EQ(result.rho_w, 0.25);
+  EXPECT_DOUBLE_EQ(result.theoretical_d, 49.0);
+  EXPECT_EQ(result.trial_budget, 49u);
+  EXPECT_TRUE(result.covered);
+  EXPECT_TRUE(result.is_definite);
+  EXPECT_EQ(result.iterations, 0u);
+  EXPECT_GT(result.residue_fragments, 0u);
+  EXPECT_LE(result.residue_fragments, result.trial_budget);
+}
+
+/// Checks s against set with the residue stage on and off, from one seed,
+/// and expects the residue-on engine to have given the query to RSPC: the
+/// same verdict, path, iterations, witness and post-call RNG state.
+SubsumptionResult expect_falls_through_to_rspc(
+    EngineConfig config, const Subscription& s,
+    const std::vector<Subscription>& set) {
+  config.exact_residue = true;
+  SubsumptionEngine on(config, 42);
+  config.exact_residue = false;
+  SubsumptionEngine off(config, 42);
+  const SubsumptionResult a = on.check(s, set);
+  const SubsumptionResult b = off.check(s, set);
+  EXPECT_EQ(a.residue_fragments, 0u);
+  EXPECT_GT(a.iterations, 0u);
+  EXPECT_EQ(a.covered, b.covered);
+  EXPECT_EQ(a.is_definite, b.is_definite);
+  EXPECT_EQ(a.path, b.path);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.witness, b.witness);
+  EXPECT_EQ(on.rng().state(), off.rng().state());
+  return a;
+}
+
+/// s = [-1, 0]^3 x [0, 1] and `levels` candidates. Candidate i starts
+/// halfway (toward 0) into the fragment the previous one left on top of
+/// the residue stack and runs past it on every upper side, so each cut
+/// tests one candidate and leaves one new fragment per attribute: net +3
+/// live fragments per level. Endpoints are powers of two, so every cut is
+/// exact. Not covered: the first cut already leaves [-1, -0.5] x ... open.
+workload::Instance nested_cuts(std::size_t levels) {
+  constexpr std::size_t kAttrs = 4;
+  std::vector<Interval> top(kAttrs, Interval{-1.0, 0.0});
+  top[kAttrs - 1] = Interval{0.0, 1.0};
+  workload::Instance inst{Subscription(top, 0), {}, false};
+  for (std::size_t level = 0; level < levels; ++level) {
+    std::vector<Interval> cut(kAttrs);
+    for (std::size_t j = 0; j + 1 < kAttrs; ++j) {
+      cut[j] = Interval{top[j].lo / 2, 1.0};
+      top[j].lo = cut[j].lo;
+    }
+    cut[kAttrs - 1] = Interval{top[kAttrs - 1].hi / 2, 2.0};
+    top[kAttrs - 1].hi = cut[kAttrs - 1].lo;
+    inst.existing.emplace_back(cut, static_cast<SubscriptionId>(level + 1));
+  }
+  return inst;
+}
+
+TEST(Engine, ResidueOverFragmentCapFallsThroughToRspc) {
+  EngineConfig config;
+  config.delta = 1e-300;
+  config.use_fast_decisions = false;
+  config.use_mcs = false;
+  constexpr std::size_t kLevelsAtCap = kResidueFragmentCap / 3;
+  // Below the cap the residue stage decides the instance itself...
+  const workload::Instance small = nested_cuts(kLevelsAtCap - 10);
+  SubsumptionEngine engine(config);
+  const SubsumptionResult decided = engine.check(small.tested, small.existing);
+  EXPECT_FALSE(decided.covered);
+  EXPECT_GT(decided.residue_fragments, 0u);
+  EXPECT_EQ(decided.iterations, 0u);
+  // ...past it, it gives the query to RSPC, well inside the visit budget.
+  const workload::Instance big = nested_cuts(kLevelsAtCap + 10);
+  const SubsumptionResult result =
+      expect_falls_through_to_rspc(config, big.tested, big.existing);
+  EXPECT_GT(result.trial_budget, 2 * big.existing.size());
+  EXPECT_FALSE(result.covered);
+}
+
+TEST(Engine, ResidueOverVisitBudgetFallsThroughToRspc) {
+  // s = [0, 10]^2 covered by a 10 x 10 grid of slightly overlapping cells,
+  // each the only one holding its own centre: subtracting them all takes
+  // at least 100 fragment visits, while the trial budget is capped at 50.
+  const Subscription s = box2(0, 10, 0, 10);
+  std::vector<Subscription> set;
+  for (int x = 0; x < 10; ++x) {
+    for (int y = 0; y < 10; ++y) {
+      set.push_back(box2(x - 0.1, x + 1.1, y - 0.1, y + 1.1,
+                         static_cast<SubscriptionId>(10 * x + y + 1)));
+    }
+  }
+  EngineConfig config;
+  config.max_iterations = 50;
+  const SubsumptionResult result = expect_falls_through_to_rspc(config, s, set);
+  EXPECT_EQ(result.trial_budget, 50u);
+  EXPECT_TRUE(result.covered);
+  EXPECT_FALSE(result.is_definite);
+  // With the full default budget the residue stage decides it exactly.
+  SubsumptionEngine engine;
+  const SubsumptionResult exact = engine.check(s, set);
+  EXPECT_TRUE(exact.covered);
+  EXPECT_TRUE(exact.is_definite);
+  EXPECT_GT(exact.residue_fragments, 50u);
 }
 
 TEST(Engine, BudgetCapRespected) {

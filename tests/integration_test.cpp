@@ -75,16 +75,17 @@ TEST(Integration, MixedWorkloadGroupVsPairwiseTraffic) {
 
 TEST(Integration, ForcedFalseNegativeLosesOnlyGapPublications) {
   // Failure injection: crank delta, strangle the iteration budget, AND
-  // disable the deterministic aids (Corollary 3 + MCS catch this instance
-  // exactly — a nice property, but here we *want* the probabilistic error)
-  // so the engine can wrongly declare a gapped subscription covered; then
-  // verify the loss accounting pins the lost notifications on exactly the
-  // uncovered-gap publications.
+  // disable the deterministic aids (Corollary 3, MCS and the exact residue
+  // stage catch this instance exactly — a nice property, but here we
+  // *want* the probabilistic error) so the engine can wrongly declare a
+  // gapped subscription covered; then verify the loss accounting pins the
+  // lost notifications on exactly the uncovered-gap publications.
   NetworkConfig config = config_with(store::CoveragePolicy::kGroup);
   config.store.engine.delta = 0.5;        // practically no trials
   config.store.engine.max_iterations = 1; // one guess only
   config.store.engine.use_fast_decisions = false;
   config.store.engine.use_mcs = false;
+  config.store.engine.exact_residue = false;
   auto net = BrokerNetwork::chain_topology(3, config);
 
   // Two slabs of [0,100]^2 leaving the gap x0 in (45, 55) uncovered.
@@ -120,6 +121,42 @@ TEST(Integration, ForcedFalseNegativeLosesOnlyGapPublications) {
   EXPECT_TRUE(std::find(delivered_covered.begin(), delivered_covered.end(), s3) !=
               delivered_covered.end());
   EXPECT_EQ(net.metrics().notifications_lost, before_lost);
+}
+
+TEST(Integration, ExactResidueLeavesNoForcedFalseNegative) {
+  // The strangled engine with the residue stage on and a budget of two
+  // (delta = 0.5 alone would give one): subtracting the two slabs takes
+  // two fragment visits, so every check of the gapped subscription is a
+  // definite NO with no trial run, nothing is suppressed and the gap
+  // publication is delivered.
+  NetworkConfig config = config_with(store::CoveragePolicy::kGroup);
+  config.store.engine.delta = 1e-3;
+  config.store.engine.max_iterations = 2;
+  config.store.engine.use_fast_decisions = false;
+  config.store.engine.use_mcs = false;
+  const std::vector<Subscription> slabs{
+      Subscription({{-1, 45}, {-1, 101}}, 1),
+      Subscription({{55, 101}, {-1, 101}}, 2)};
+
+  core::SubsumptionEngine engine(config.store.engine);
+  const auto direct = engine.check(Subscription({{40, 60}, {40, 60}}, 3), slabs);
+  EXPECT_EQ(direct.trial_budget, 2u);
+  EXPECT_FALSE(direct.covered);
+  EXPECT_TRUE(direct.is_definite);
+  EXPECT_EQ(direct.iterations, 0u);
+  EXPECT_GT(direct.residue_fragments, 0u);
+
+  auto net = BrokerNetwork::chain_topology(3, config);
+  for (const Subscription& slab : slabs) net.subscribe(2, slab);
+  for (SubscriptionId s3 = 3; s3 < 40; ++s3) {
+    net.subscribe(2, Subscription({{40, 60}, {40, 60}}, s3));
+    net.unsubscribe(2, s3);
+  }
+  EXPECT_EQ(net.metrics().subscriptions_suppressed, 0u);
+  net.subscribe(2, Subscription({{40, 60}, {40, 60}}, 40));
+  EXPECT_EQ(net.publish(0, Publication({50.0, 50.0})),
+            (std::vector<SubscriptionId>{40}));
+  EXPECT_EQ(net.metrics().notifications_lost, 0u);
 }
 
 TEST(Integration, EngineStoreNetworkAgreeOnCoverage) {

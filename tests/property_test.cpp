@@ -3,6 +3,7 @@
 // over dimensions, set sizes and scenario families.
 //
 // Invariants under test (paper, Proposition 1 and Section 4):
+//   P0. A definite YES from the engine is always correct.
 //   P1. A definite NO from the engine is always correct.
 //   P2. A covered instance is NEVER answered NO (no false positives in the
 //       non-cover direction — the algorithm's one-sided error).
@@ -82,6 +83,11 @@ TEST_P(EngineOracleSweep, EngineAgreesWithExactOracle) {
 
     const auto result = engine.check(inst.tested, inst.existing);
 
+    if (result.covered && result.is_definite) {
+      // P0: a definite YES (pairwise cover or exact residue) is correct.
+      EXPECT_TRUE(truth) << family_name(param.family) << " round " << round
+                         << " path=" << to_string(result.path);
+    }
     if (!result.covered) {
       // P1: definite NO must be genuinely uncovered.
       EXPECT_FALSE(truth) << family_name(param.family) << " round " << round
@@ -202,6 +208,7 @@ TEST(PropertyErrorBound, FalseNegativeRateWithinDelta) {
   engine_config.max_iterations = 100'000;
   engine_config.use_fast_decisions = false;  // force the probabilistic path
   engine_config.use_mcs = false;
+  engine_config.exact_residue = false;
   SubsumptionEngine engine(engine_config, 7);
 
   const int rounds = 400;
@@ -212,6 +219,61 @@ TEST(PropertyErrorBound, FalseNegativeRateWithinDelta) {
     if (result.covered) ++false_yes;
   }
   EXPECT_LE(false_yes, 40) << "false-YES rate grossly above delta";
+}
+
+TEST(PropertyResidue, ExactResidueMatchesOracle) {
+  // Differential sweep of the exact residue stage against box subtraction:
+  // m = 1..6, k up to 60, covering, non-cover, 0.1 %-gap and random
+  // candidate sets, with every other stage off so each query reaches it.
+  // Every verdict the stage gives must be the oracle's, with a valid
+  // witness on a NO; the sweep must also see it decide both ways.
+  util::Rng rng(0x4e51d);
+  EngineConfig engine_config;
+  engine_config.use_fast_decisions = false;
+  engine_config.use_mcs = false;
+  SubsumptionEngine engine(engine_config, 11);
+  int decided_yes = 0;
+  int decided_no = 0;
+  for (std::size_t m = 1; m <= 6; ++m) {
+    for (const std::size_t k : {1, 5, 20, 60}) {
+      ScenarioConfig config;
+      config.attribute_count = m;
+      config.set_size = k;
+      for (int round = 0; round < 40; ++round) {
+        Instance inst;
+        switch (round % 4) {
+          case 0: inst = workload::make_redundant_covering(config, rng); break;
+          case 1: inst = workload::make_non_cover(config, rng); break;
+          case 2:
+            inst = workload::make_extreme_non_cover(config, 0.001, rng);
+            break;
+          default:
+            inst.tested = workload::random_box(config, 0.2, 0.5, rng);
+            for (std::size_t i = 0; i < k; ++i) {
+              inst.existing.push_back(workload::random_box(config, 0.1, 0.6, rng));
+              inst.existing.back().set_id(i + 1);
+            }
+        }
+        const auto result = engine.check(inst.tested, inst.existing);
+        if (result.residue_fragments == 0) continue;
+        const bool truth = baseline::exactly_covered(inst.tested, inst.existing);
+        ASSERT_EQ(result.covered, truth) << "m=" << m << " k=" << k
+                                         << " round " << round;
+        ASSERT_TRUE(result.is_definite);
+        ASSERT_EQ(result.iterations, 0u);
+        if (truth) {
+          ++decided_yes;
+        } else {
+          ++decided_no;
+          ASSERT_TRUE(result.witness.has_value());
+          EXPECT_TRUE(inst.tested.contains_point(*result.witness));
+          EXPECT_FALSE(core::point_in_union(*result.witness, inst.existing));
+        }
+      }
+    }
+  }
+  EXPECT_GT(decided_yes, 100);
+  EXPECT_GT(decided_no, 100);
 }
 
 TEST(PropertyWitness, EveryReportedWitnessIsValid) {

@@ -743,6 +743,49 @@ TEST(Snapshot, RestoredBrokerIsDecisionIdentical) {
   }
 }
 
+TEST(Snapshot, NetworkConfigRoundTripsExactResidue) {
+  for (const bool exact_residue : {false, true}) {
+    routing::NetworkConfig config;
+    config.store.engine.exact_residue = exact_residue;
+    ByteWriter out;
+    write_network_config(out, config);
+    ByteReader in(out.buffer());
+    EXPECT_EQ(read_network_config(in).store.engine.exact_residue,
+              exact_residue);
+    EXPECT_TRUE(in.at_end());
+  }
+}
+
+TEST(Snapshot, RestoredNetworkWithResidueOffKeepsTheRspcStream) {
+  // Group policy with the residue stage off: subscriptions jointly covered
+  // by two slabs reach RSPC and draw from each broker's engine stream. A
+  // restored replica must take the same path (the config travels in the
+  // snapshot), so identical future ops leave identical snapshots, engine
+  // RNG states included.
+  routing::NetworkConfig config;
+  config.store.policy = store::CoveragePolicy::kGroup;
+  config.store.engine.exact_residue = false;
+  BrokerNetwork original = BrokerNetwork::chain_topology(3, config);
+  original.subscribe(2, Subscription({{0, 55}, {0, 100}}, 1));
+  original.subscribe(2, Subscription({{45, 100}, {0, 100}}, 2));
+
+  BrokerNetwork restored;
+  restored.restore_all(original.snapshot_all());
+
+  util::Rng rng(0x7e5);
+  for (SubscriptionId id = 3; id < 23; ++id) {
+    const double x = rng.uniform(30.0, 50.0);
+    const double y = rng.uniform(0.0, 80.0);
+    const Subscription straddling({{x, x + 20}, {y, y + 20}}, id);
+    original.subscribe(2, straddling);
+    restored.subscribe(2, straddling);
+  }
+  EXPECT_GT(original.metrics().subscriptions_suppressed, 0u);
+  EXPECT_EQ(restored.metrics().subscriptions_suppressed,
+            original.metrics().subscriptions_suppressed);
+  EXPECT_EQ(restored.snapshot_all(), original.snapshot_all());
+}
+
 TEST(Snapshot, RestoredNetworkContinuesIdentically) {
   routing::NetworkConfig config;
   config.store.policy = store::CoveragePolicy::kExact;
