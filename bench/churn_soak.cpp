@@ -4,7 +4,7 @@
 //
 //   ./churn_soak [--duration=60] [--seed=2006] [--policy=exact]
 //                [--sub-rate=2.0] [--pub-rate=5.0] [--ttl-fraction=0.5]
-//                [--shards=1] [--differential=true] [--pipelined=false]
+//                [--differential=true] [--pipelined=false]
 //                [--drop=0] [--dup=0] [--reorder=0] [--jitter=0]
 //                [--json=PATH]
 //                [--topology=NAME]   (substring filter, e.g. "grid")
@@ -105,7 +105,6 @@ int main(int argc, char** argv) {
   const bench::SoakArgs args(flags);
   const workload::ChurnConfig config = bench::read_churn_flags(flags);
   const bool pipelined = flags.get_bool("pipelined", false);
-  const auto shards = static_cast<std::size_t>(flags.get_int("shards", 1));
   const bool differential = flags.get_bool("differential", true);
   const std::string dump_dir = flags.get_string("dump-dir", ".");
   const std::string replay_path = flags.get_string("replay", "");
@@ -127,7 +126,7 @@ int main(int argc, char** argv) {
   for (routing::Topology& topology : routing::standard_topologies(args.seed)) {
     if (!args.selects(topology.name)) continue;
     const auto configs =
-        bench::standard_topology_configs(args, shards, config, topology);
+        bench::standard_topology_configs(args, config, topology);
     if (!configs) return 1;
     auto net = topology.build(configs->net);
     sim::ChurnDriver::Options driver_options;
@@ -161,7 +160,7 @@ int main(int argc, char** argv) {
                          report.totals.notifications_lost > 0)) {
       std::ostream& replay =
           bench::dump_gate_failure("churn_soak", dump_dir, run, args.policy)
-          << " --topology=" << run.name << " --shards=" << shards;
+          << " --topology=" << run.name;
       // Fault rates ride the trace, but the wire config (and its seed)
       // rides the command line — repeat it for a faithful replay.
       const sim::LinkFaultConfig& faults = config.faults.link;

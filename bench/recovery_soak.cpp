@@ -13,7 +13,7 @@
 //                   [--snapshot-every=0]     (sim-seconds; 0 = epoch length)
 //                   [--kill-fraction=0.5]    (kill at fraction of duration)
 //                   [--drop=0] [--dup=0] [--reorder=0] [--jitter=0]
-//                   [--shards=1] [--json=PATH] [--topology=NAME]
+//                   [--json=PATH] [--topology=NAME]
 //
 // Nonzero fault flags run the crash/recovery discipline over lossy wires
 // behind the reliable link protocol; the slot is re-derived per topology
@@ -82,7 +82,6 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const bench::SoakArgs args(flags);
   const workload::ChurnConfig config = bench::read_churn_flags(flags);
-  const auto shards = static_cast<std::size_t>(flags.get_int("shards", 1));
   sim::ChurnDriver::Options options;
   options.differential = true;
   options.failure.enabled = true;
@@ -108,7 +107,7 @@ int main(int argc, char** argv) {
     // Same slot discipline as churn_soak: over lossy wires every op (and
     // the snapshot taken at each epoch close) observes a quiescent wire.
     const auto configs =
-        bench::standard_topology_configs(args, shards, config, topology);
+        bench::standard_topology_configs(args, config, topology);
     if (!configs) return 1;
     auto net = topology.build(configs->net);
     runs.push_back(bench::run_soak(

@@ -94,10 +94,9 @@ struct TopologyConfigs {
   workload::ChurnConfig churn;
 };
 inline std::optional<TopologyConfigs> standard_topology_configs(
-    const SoakArgs& args, std::size_t shards, workload::ChurnConfig churn,
+    const SoakArgs& args, workload::ChurnConfig churn,
     const routing::Topology& topology) {
-  TopologyConfigs out{args.network().match_shards(shards).build(),
-                      std::move(churn)};
+  TopologyConfigs out{args.network().build(), std::move(churn)};
   out.churn.link_latency = out.net.link_latency;
   if (!out.churn.faults.any()) return out;
   out.net.link.enabled = true;

@@ -9,7 +9,7 @@
 // remaining components oracle-exact.
 //
 //   ./tcp_soak [--brokers=8] [--ops=300] [--seeds=2] [--seed=2006]
-//       [--topology=NAME] [--policy=exact] [--match-shards=1]
+//       [--topology=NAME] [--policy=exact]
 //       [--kill=true] [--brokerd=PATH] [--json=PATH]
 //
 // Topology family: chain / star / random-tree (brokerd overlays are trees;
@@ -144,8 +144,6 @@ int main(int argc, char** argv) {
   const auto base_seed =
       static_cast<std::uint64_t>(flags.get_int("seed", 2006));
   const std::string policy = flags.get_string("policy", "exact");
-  const auto match_shards =
-      static_cast<std::size_t>(flags.get_int("match-shards", 1));
   const bool with_kill = flags.get_bool("kill", true);
   const std::string topology_filter = flags.get_string("topology", "");
   const std::string json_path = flags.get_string("json", "");
@@ -171,7 +169,6 @@ int main(int argc, char** argv) {
     options.brokers = brokers;
     options.links = topology.links;
     options.seed = seed;
-    options.match_shards = match_shards;
     options.policy = policy;
 
     workload::ChurnConfig config;

@@ -1,9 +1,8 @@
 // Persistent stage workers for the broker's publish pipeline.
 //
 // A StageSet owns a fixed set of named worker threads, each running a
-// caller-provided loop body until the set is stopped. Unlike ThreadPool
-// (transient parallel_for lanes joined by a barrier per call), StageSet
-// threads are pinned for the lifetime of the pipeline: they park on their
+// caller-provided loop body until the set is stopped. StageSet threads
+// are pinned for the lifetime of the pipeline: they park on their
 // stage's ingress ring (exec/ring_queue.hpp) and the only cross-thread
 // traffic is ring tokens — no per-batch thread churn, no barriers.
 //

@@ -195,7 +195,7 @@ struct IndexConfig {
 /// Thread-safety: externally single-threaded. stab/box_intersect are
 /// const but advance epoch counters and reuse scratch buffers, so two
 /// queries must not run concurrently on one instance; one index per
-/// thread (or per shard) is the supported model. Query results never
+/// thread is the supported model. Query results never
 /// depend on IndexConfig — only pruning power and mutation cost do.
 class IntervalIndex {
  public:

@@ -1,11 +1,14 @@
 #include "net/broker_node.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <exception>
-#include <sstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/flags.hpp"
@@ -13,8 +16,7 @@
 namespace psc::net {
 
 BrokerNode::BrokerNode(BrokerNodeOptions options)
-    : runtime_(options.id, options.store, options.network_seed,
-               options.match_shards),
+    : runtime_(options.id, options.store, options.network_seed),
       transport_(options.transport) {
   for (const routing::BrokerId neighbor : options.transport.neighbors) {
     runtime_.broker().add_neighbor(neighbor);
@@ -101,55 +103,81 @@ void BrokerNode::handle_peer_death(routing::BrokerId peer) {
   });
 }
 
+namespace {
+
+/// Parses all of `text` as a decimal integer in [min, max]; anything else
+/// (sign on an unsigned field, trailing characters, overflow, a value out
+/// of range) throws instead of wrapping.
+template <typename T>
+T parse_number(std::string_view flag, std::string_view text, T min, T max) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || ptr != end || value < min || value > max) {
+    throw std::invalid_argument(
+        "--" + std::string(flag) + ": '" + std::string(text) +
+        "' is not an integer in [" + std::to_string(min) + ", " +
+        std::to_string(max) + "]");
+  }
+  return value;
+}
+
+/// Comma-separated form of parse_number; empty items are skipped.
+template <typename T>
+std::vector<T> parse_list(std::string_view flag, std::string_view csv, T min,
+                          T max) {
+  std::vector<T> out;
+  while (!csv.empty()) {
+    const std::size_t comma = std::min(csv.find(','), csv.size());
+    if (comma > 0) {
+      out.push_back(parse_number(flag, csv.substr(0, comma), min, max));
+    }
+    csv.remove_prefix(std::min(comma + 1, csv.size()));
+  }
+  return out;
+}
+
+}  // namespace
+
+BrokerNodeOptions parse_brokerd_options(int argc, const char* const* argv) {
+  const util::Flags flags(argc, argv);
+  // kInvalidBroker is the "no broker" sentinel, never a real id.
+  constexpr routing::BrokerId kMaxId = routing::kInvalidBroker - 1;
+  BrokerNodeOptions options;
+  options.id = parse_number<routing::BrokerId>(
+      "id", flags.get_string("id", "0"), 0, kMaxId);
+  // Unsigned 64-bit: Cluster passes any seed, top bit included.
+  if (flags.has("seed")) {
+    options.network_seed = parse_number<std::uint64_t>(
+        "seed", flags.get_string("seed", ""), 0,
+        std::numeric_limits<std::uint64_t>::max());
+  }
+  options.store.policy =
+      store::parse_coverage_policy(flags.get_string("policy", "exact"));
+  options.transport.self = options.id;
+  options.transport.listen_fd =
+      parse_number<int>("listen-fd", flags.get_string("listen-fd", "-1"), -1,
+                        std::numeric_limits<int>::max());
+  options.transport.neighbors = parse_list<routing::BrokerId>(
+      "neighbors", flags.get_string("neighbors", ""), 0, kMaxId);
+  options.transport.ports = parse_list<std::uint16_t>(
+      "ports", flags.get_string("ports", ""), 0,
+      std::numeric_limits<std::uint16_t>::max());
+  return options;
+}
+
 int run_brokerd(int argc, const char* const* argv) {
   // A peer SIGKILLed mid-write must surface as EPIPE (handled by the
   // failed-connection sweep), not kill this process too.
   std::signal(SIGPIPE, SIG_IGN);
+  BrokerNodeOptions options;
   try {
-    const util::Flags flags(argc, argv);
-    BrokerNodeOptions options;
-    options.id = static_cast<routing::BrokerId>(flags.get_int("id", 0));
-    // Unsigned 64-bit: Cluster passes any seed, top bit included.
-    if (flags.has("seed")) {
-      options.network_seed = std::stoull(flags.get_string("seed", ""));
-    }
-    options.match_shards =
-        static_cast<std::size_t>(flags.get_int("match-shards", 1));
-    const std::string policy = flags.get_string("policy", "exact");
-    if (policy == "exact") {
-      options.store.policy = store::CoveragePolicy::kExact;
-    } else if (policy == "none") {
-      options.store.policy = store::CoveragePolicy::kNone;
-    } else if (policy == "pairwise") {
-      options.store.policy = store::CoveragePolicy::kPairwise;
-    } else if (policy == "group") {
-      options.store.policy = store::CoveragePolicy::kGroup;
-    } else {
-      std::fprintf(stderr, "psc_brokerd: unknown --policy '%s'\n",
-                   policy.c_str());
-      return 2;
-    }
-    options.transport.self = options.id;
-    options.transport.listen_fd =
-        static_cast<int>(flags.get_int("listen-fd", -1));
-    for (std::stringstream in(flags.get_string("neighbors", ""));
-         in.good() && in.peek() != std::stringstream::traits_type::eof();) {
-      std::string item;
-      std::getline(in, item, ',');
-      if (!item.empty()) {
-        options.transport.neighbors.push_back(
-            static_cast<routing::BrokerId>(std::stoul(item)));
-      }
-    }
-    for (std::stringstream in(flags.get_string("ports", ""));
-         in.good() && in.peek() != std::stringstream::traits_type::eof();) {
-      std::string item;
-      std::getline(in, item, ',');
-      if (!item.empty()) {
-        options.transport.ports.push_back(
-            static_cast<std::uint16_t>(std::stoul(item)));
-      }
-    }
+    options = parse_brokerd_options(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "psc_brokerd: %s\n", error.what());
+    return 2;
+  }
+  try {
     BrokerNode node(std::move(options));
     node.run();
     return 0;

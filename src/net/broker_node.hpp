@@ -41,7 +41,6 @@ struct BrokerNodeOptions {
   /// the per-broker store seed from it, exactly as for a simulated broker,
   /// so a TCP broker's coverage decisions match its sim twin's.
   std::uint64_t network_seed = 0xfeedbeefULL;
-  std::size_t match_shards = 1;
   store::StoreConfig store;
   TcpTransportConfig transport;
 };
@@ -73,10 +72,18 @@ class BrokerNode : private routing::RuntimeHost {
   routing::Broker::PublishScratch publish_scratch_;
 };
 
+/// psc_brokerd's command line: --id / --listen-fd / --seed / --policy /
+/// --neighbors / --ports (comma-separated lists). Throws
+/// std::invalid_argument naming the flag and the value on an unknown
+/// policy, a malformed number, or a number outside its field's range —
+/// never wraps (--ports=70000, --id=-1 and a neighbour id of 2^32 are
+/// errors, not port 4464, kInvalidBroker and a truncated id).
+[[nodiscard]] BrokerNodeOptions parse_brokerd_options(int argc,
+                                                      const char* const* argv);
+
 /// Entry point for the psc_brokerd executable (tools/brokerd_main.cpp):
-/// parses --id / --listen-fd / --seed / --match-shards / --policy /
-/// --neighbors / --ports, builds a BrokerNode, and serves. Returns the
-/// process exit code.
+/// parses the options, builds a BrokerNode, and serves. Returns the
+/// process exit code: 2 on a bad option, 1 on a fatal runtime error.
 int run_brokerd(int argc, const char* const* argv);
 
 }  // namespace psc::net

@@ -47,7 +47,6 @@ struct ClusterOptions {
   /// Undirected overlay links; must form a tree over [0, brokers).
   std::vector<std::pair<routing::BrokerId, routing::BrokerId>> links;
   std::uint64_t seed = 0xfeedbeefULL;
-  std::size_t match_shards = 1;
   /// Coverage policy name passed through to brokerd (--policy). The
   /// differential default is "exact": every suppression is definite, so
   /// delivered sets must equal the oracle's bit for bit.

@@ -18,14 +18,12 @@ namespace {
 /// Configuration of a publish lane: coverage-free (every routed
 /// subscription must stay individually matchable), index on/off and
 /// bucketing inherited from the broker's store config.
-exec::ShardConfig lane_config(const store::StoreConfig& store_config,
-                              std::size_t match_shards) {
-  exec::ShardConfig config;
-  config.shard_count = match_shards == 0 ? 1 : match_shards;
-  config.store.policy = store::CoveragePolicy::kNone;
-  config.store.demote_covered_actives = false;
-  config.store.use_index = store_config.use_index;
-  config.store.index = store_config.index;
+store::StoreConfig lane_config(const store::StoreConfig& store_config) {
+  store::StoreConfig config;
+  config.policy = store::CoveragePolicy::kNone;
+  config.demote_covered_actives = false;
+  config.use_index = store_config.use_index;
+  config.index = store_config.index;
   return config;
 }
 
@@ -36,13 +34,12 @@ std::uint64_t local_lane_seed(std::uint64_t seed) {
 
 }  // namespace
 
-Broker::Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed,
-               std::size_t match_shards)
+Broker::Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed)
     : id_(id),
       store_config_(store_config),
       seed_(seed),
-      lanes_{exec::ShardedStore(lane_config(store_config, match_shards),
-                                local_lane_seed(seed)),
+      lanes_{store::SubscriptionStore(lane_config(store_config),
+                                      local_lane_seed(seed)),
              {}} {}
 
 void Broker::add_neighbor(BrokerId neighbor) {
@@ -129,7 +126,7 @@ store::SubscriptionStore& Broker::neighbor_lane(BrokerId neighbor) {
     it = lanes_.neighbor
              .emplace(neighbor,
                       std::make_unique<store::SubscriptionStore>(
-                          lane_config(store_config_, 1).store,
+                          lane_config(store_config_),
                           util::splitmix64(mix)))
              .first;
   }
@@ -179,74 +176,6 @@ std::vector<BrokerId> Broker::handle_subscription(const Subscription& sub,
   return forward_to;
 }
 
-std::vector<std::vector<BrokerId>> Broker::insert_batch(
-    std::span<const Subscription> subs, const Origin& origin,
-    exec::ThreadPool* pool, std::uint64_t* suppressed_out) {
-  std::vector<std::vector<BrokerId>> forward_lists(subs.size());
-
-  // Phase 1 (sequential): routing-table admission. Order matters — a
-  // duplicate id later in the batch must be dropped exactly as a second
-  // handle_subscription call would drop it. Downstream phases reference
-  // the routing-table copies instead of copying each subscription again;
-  // the reserve keeps the flat map rehash-free for the whole batch, so
-  // those pointers stay stable.
-  routing_table_.reserve(routing_table_.size() + subs.size());
-  std::vector<std::size_t> accepted;
-  accepted.reserve(subs.size());
-  std::vector<const Subscription*> accepted_subs;
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    const auto [entry, inserted] =
-        routing_table_.try_emplace(subs[i].id(), subs[i], origin);
-    if (!inserted) continue;
-    accepted.push_back(i);
-    accepted_subs.push_back(&entry->sub);
-  }
-
-  // Phase 2: mirror the accepted subscriptions into the origin's lane
-  // (parallel over the local lane's shards).
-  if (origin.local) {
-    (void)lanes_.local.insert_batch(accepted_subs, pool);
-  } else {
-    store::SubscriptionStore& lane = neighbor_lane(origin.neighbor);
-    for (const Subscription* sub : accepted_subs) (void)lane.insert(*sub);
-  }
-
-  // Phase 3 (parallel over links): per-link coverage. Each lane owns one
-  // forwarded_ store and replays the accepted subsequence in batch order,
-  // so link-store state and verdicts are identical to sequential calls.
-  const std::size_t link_count = neighbors_.size();
-  std::vector<std::vector<char>> covered(link_count);
-  // Materialize the link stores up front: forwarded_mutable mutates the
-  // map and must not run concurrently.
-  std::vector<store::SubscriptionStore*> link_stores(link_count, nullptr);
-  for (std::size_t l = 0; l < link_count; ++l) {
-    if (!origin.local && origin.neighbor == neighbors_[l]) continue;
-    link_stores[l] = &forwarded_mutable(neighbors_[l]);
-  }
-  exec::ThreadPool::run(pool, link_count, [&](std::size_t l) {
-    if (link_stores[l] == nullptr) return;  // origin link: nothing to do
-    covered[l].resize(accepted_subs.size(), 0);
-    for (std::size_t j = 0; j < accepted_subs.size(); ++j) {
-      covered[l][j] = link_stores[l]->insert(*accepted_subs[j]).covered ? 1 : 0;
-    }
-  });
-
-  // Merge: forward lists in neighbour order, suppressions accumulated —
-  // the exact shape sequential handle_subscription calls produce.
-  for (std::size_t j = 0; j < accepted.size(); ++j) {
-    auto& forward_to = forward_lists[accepted[j]];
-    for (std::size_t l = 0; l < link_count; ++l) {
-      if (link_stores[l] == nullptr) continue;
-      if (covered[l][j]) {
-        if (suppressed_out) ++*suppressed_out;
-        continue;
-      }
-      forward_to.push_back(neighbors_[l]);
-    }
-  }
-  return forward_lists;
-}
-
 Broker::UnsubscriptionOutcome Broker::handle_unsubscription(
     SubscriptionId id, const Origin& origin) {
   UnsubscriptionOutcome outcome;
@@ -282,8 +211,7 @@ Broker::UnsubscriptionOutcome Broker::handle_unsubscription(
 void Broker::assemble_route(
     PublicationRoute& route, std::vector<SubscriptionId>& sort_scratch,
     std::vector<std::pair<SubscriptionId, BrokerId>>& destination_keys) {
-  // Shard-merged ids arrive shard-major; sort so the order is independent
-  // of the shard count.
+  // The lane stab appends in an unspecified order; sort ascending.
   util::radix_sort_u64(route.local_matches, sort_scratch);
   // Ascending minimum matching id == first-match order over the ascending
   // matching ids.
@@ -299,9 +227,7 @@ const Broker::PublicationRoute& Broker::handle_publication(
     PublishScratch& scratch) const {
   PublicationRoute& route = scratch.route;
   route.local_matches.clear();
-  for (std::size_t s = 0; s < lanes_.local.shard_count(); ++s) {
-    lanes_.local.shard(s).match_active_unsorted(pub, route.local_matches);
-  }
+  lanes_.local.match_active_unsorted(pub, route.local_matches);
   scratch.destination_keys.clear();
   for (const auto& [neighbor, lane] : lanes_.neighbor) {
     if (!origin.local && neighbor == origin.neighbor) {

@@ -15,14 +15,11 @@
 //     the paper's traffic-suppression step, and where the probabilistic
 //     group check plugs in.
 //
-// Concurrency model: a Broker is externally single-threaded — one event
-// (or one batch call) at a time. Parallelism lives INSIDE the batch entry
-// points, which fan out across state that is disjoint by construction
-// (the local lane's shards; the per-link forwarded_ stores) and merge
-// results in a deterministic order, so every batch call returns exactly
-// what the equivalent sequence of single-message calls would have
-// returned. Batch publication matching runs through PublishPipeline
-// (routing/publish_pipeline.hpp), which stabs the same lanes.
+// Concurrency model: a Broker is single-threaded — one event at a time.
+// Batch publication matching runs through PublishPipeline
+// (routing/publish_pipeline.hpp), whose workers stab the same lanes; each
+// lane is a separate store, so workers that own disjoint lanes share no
+// query scratch.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +33,6 @@
 
 #include "core/publication.hpp"
 #include "core/subscription.hpp"
-#include "exec/sharded_store.hpp"
-#include "exec/thread_pool.hpp"
 #include "sim/metrics.hpp"
 #include "store/subscription_store.hpp"
 #include "util/flat_map.hpp"
@@ -60,11 +55,7 @@ struct Origin {
 /// into frames, in the simulator and in psc_brokerd alike.
 class Broker {
  public:
-  /// `match_shards` partitions the local publish lane (see
-  /// exec::ShardedStore and PublishLanes); routing decisions are identical
-  /// for every value.
-  Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed,
-         std::size_t match_shards = 1);
+  Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed);
 
   [[nodiscard]] BrokerId id() const noexcept { return id_; }
 
@@ -108,17 +99,6 @@ class Broker {
   [[nodiscard]] std::vector<BrokerId> handle_subscription(
       const core::Subscription& sub, const Origin& origin,
       std::uint64_t* suppressed_out = nullptr);
-
-  /// Batch form of handle_subscription: all of `subs` arrive from `origin`
-  /// in batch order. Returns one forward list per subscription, equal to
-  /// what sequential handle_subscription calls would have produced
-  /// (duplicates of already-routed ids get an empty list). The per-link
-  /// coverage checks — the expensive part — fan out across `pool` with one
-  /// lane per outgoing link; nullptr runs inline. `suppressed_out`
-  /// accumulates suppressed link-forwards across the whole batch.
-  [[nodiscard]] std::vector<std::vector<BrokerId>> insert_batch(
-      std::span<const core::Subscription> subs, const Origin& origin,
-      exec::ThreadPool* pool = nullptr, std::uint64_t* suppressed_out = nullptr);
 
   /// Expires a subscription locally (paper, Section 5: expiration times as
   /// the message-free alternative to unsubscription flooding). Every
@@ -168,8 +148,7 @@ class Broker {
   /// and returns where it must travel (a reference into `scratch.route`).
   /// Local-lane matches are the local deliveries; every neighbour lane
   /// except the origin's (never send a publication back where it came
-  /// from) with a match is a destination. The result is deterministic and
-  /// independent of the local lane's shard count.
+  /// from) with a match is a destination. The result is deterministic.
   const PublicationRoute& handle_publication(const core::Publication& pub,
                                              const Origin& origin,
                                              PublishScratch& scratch) const;
@@ -216,12 +195,11 @@ class Broker {
       BrokerId neighbor) const;
 
   /// The routed set partitioned by reverse-path origin. `local` holds every
-  /// local-origin route, sharded (the constructor's `match_shards`) so
-  /// pipeline workers can own disjoint shards; `neighbor[n]` holds the
-  /// routes whose reverse path points at n. Lanes are coverage-free
-  /// stores, so the match SET per lane is exact and shard-count-invariant.
+  /// local-origin route; `neighbor[n]` holds the routes whose reverse path
+  /// points at n. Lanes are coverage-free stores, so the match set per
+  /// lane is exact.
   struct PublishLanes {
-    exec::ShardedStore local;
+    store::SubscriptionStore local;
     /// Ordered map: lane iteration order is deterministic (ascending
     /// neighbour id). Results do not depend on it — destinations are
     /// ordered by minimum matching id — but the work schedule does.
@@ -259,7 +237,7 @@ class Broker {
 
   /// Rebuilds this broker from `snapshot`. Preconditions: the broker holds
   /// no routing state (freshly constructed, or after a crash wiped it),
-  /// was constructed with the same (id, config, seed, shards) as the
+  /// was constructed with the same (id, config, seed) as the
   /// exporter, and already has its neighbour links attached (topology is
   /// owned by the network layer and is not part of broker state).
   /// Violations throw std::invalid_argument / std::logic_error. Afterwards
@@ -284,8 +262,6 @@ class Broker {
   };
   /// Open-addressing flat map (util::FlatMap): under churn the table
   /// mutates constantly, which wants contiguous probes and no node churn.
-  /// insert_batch reserves ahead of admission so RouteEntry pointers stay
-  /// stable for the duration of a batch.
   util::FlatMap<core::SubscriptionId, RouteEntry> routing_table_;
 
   /// Origin-partitioned routed set; mirrors routing_table_ exactly.

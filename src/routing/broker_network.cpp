@@ -107,8 +107,8 @@ void BrokerNetwork::set_link_bursts(std::vector<LinkChannels::BurstWindow> burst
 
 BrokerId BrokerNetwork::add_broker() {
   const auto id = static_cast<BrokerId>(brokers_.size());
-  brokers_.push_back(std::make_unique<BrokerRuntime>(
-      id, config_.store, config_.seed, config_.match_shards));
+  brokers_.push_back(
+      std::make_unique<BrokerRuntime>(id, config_.store, config_.seed));
   // Keep the membership link-state in lockstep once it is engaged.
   if (link_state_) (void)link_state_->add_broker();
   return id;

@@ -36,10 +36,6 @@ struct NetworkConfig {
   store::StoreConfig store;      ///< coverage policy + engine tuning
   sim::SimTime link_latency = 0.001;  ///< seconds per hop
   std::uint64_t seed = 0xfeedbeefULL;
-  /// Shard count of every broker's local publish lane
-  /// (Broker::PublishLanes). Purely a throughput knob: delivery decisions
-  /// are identical for every value (see docs/ARCHITECTURE.md).
-  std::size_t match_shards = 1;
   /// Stage sizing of the PublishPipeline that batch publishes on perfect
   /// links run through (workers/queue depth/batch size). Purely a
   /// throughput knob: delivered sets and message traffic are identical for
@@ -79,10 +75,6 @@ class NetworkConfig::Builder {
   }
   Builder& seed(std::uint64_t value) {
     config_.seed = value;
-    return *this;
-  }
-  Builder& match_shards(std::size_t value) {
-    config_.match_shards = value;
     return *this;
   }
   /// Stage sizing of the batch publish pipeline.

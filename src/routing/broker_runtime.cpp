@@ -21,15 +21,13 @@ std::uint64_t derive_broker_seed(std::uint64_t network_seed, BrokerId id) {
 }  // namespace
 
 BrokerRuntime::BrokerRuntime(BrokerId id, const store::StoreConfig& store,
-                             std::uint64_t network_seed,
-                             std::size_t match_shards)
+                             std::uint64_t network_seed)
     : store_(store),
       seed_(derive_broker_seed(network_seed, id)),
-      match_shards_(match_shards),
-      broker_(std::make_unique<Broker>(id, store_, seed_, match_shards_)) {}
+      broker_(std::make_unique<Broker>(id, store_, seed_)) {}
 
 void BrokerRuntime::reset() {
-  broker_ = std::make_unique<Broker>(id(), store_, seed_, match_shards_);
+  broker_ = std::make_unique<Broker>(id(), store_, seed_);
 }
 
 void BrokerRuntime::on_frame(const HopContext& ctx, BrokerId from,

@@ -78,7 +78,7 @@ class BrokerRuntime {
   /// network-wide `network_seed`, so a broker's coverage decisions (and its
   /// engine RNG stream) are the same in every harness.
   BrokerRuntime(BrokerId id, const store::StoreConfig& store,
-                std::uint64_t network_seed, std::size_t match_shards);
+                std::uint64_t network_seed);
   /// Armed expiry timers hold `this`.
   BrokerRuntime(const BrokerRuntime&) = delete;
   BrokerRuntime& operator=(const BrokerRuntime&) = delete;
@@ -88,7 +88,7 @@ class BrokerRuntime {
   [[nodiscard]] const Broker& broker() const noexcept { return *broker_; }
 
   /// Crash wipe: replaces the broker with a fresh one built from the same
-  /// (id, config, seed, shards) — no neighbours, no routes.
+  /// (id, config, seed) — no neighbours, no routes.
   void reset();
 
   /// Receive side of every link frame: routes the Announcement that
@@ -146,7 +146,6 @@ class BrokerRuntime {
 
   store::StoreConfig store_;
   std::uint64_t seed_;
-  std::size_t match_shards_;
   std::unique_ptr<Broker> broker_;
 };
 

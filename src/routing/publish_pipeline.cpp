@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "wire/codec.hpp"
-
 namespace psc::routing {
 
 using core::Publication;
@@ -64,20 +62,15 @@ void PublishPipeline::ensure_started() {
 void PublishPipeline::prepare_job(const Broker& broker, const Origin& origin) {
   const Broker::PublishLanes& broker_lanes = broker.publish_lanes();
   lanes_.clear();
-  const exec::ShardedStore& local = broker_lanes.local;
-  for (std::size_t s = 0; s < local.shard_count(); ++s) {
-    lanes_.push_back({&local.shard(s), kInvalidBroker, false});
-  }
-  local_lane_count_ = lanes_.size();
+  lanes_.push_back({&broker_lanes.local, kInvalidBroker, false});
   for (const auto& [neighbor, lane] : broker_lanes.neighbor) {
     const bool skip = !origin.local && neighbor == origin.neighbor;
     lanes_.push_back({lane.get(), neighbor, skip});
   }
-  const std::size_t neighbor_lanes = lanes_.size() - local_lane_count_;
   lane_scratch_.resize(lanes_.size());
   for (Slot& slot : slots_) {
-    slot.local_ids.resize(local_lane_count_ * options_.batch_size);
-    slot.neighbor_min.resize(neighbor_lanes * options_.batch_size);
+    slot.local_ids.resize(options_.batch_size);
+    slot.neighbor_min.resize((lanes_.size() - 1) * options_.batch_size);
   }
 }
 
@@ -89,9 +82,9 @@ void PublishPipeline::fill_slot(Slot& slot, const Publication* pubs,
 
 void PublishPipeline::match_lane(Slot& slot, std::size_t lane_index) {
   const LaneRef& lane = lanes_[lane_index];
-  if (lane_index < local_lane_count_) {
+  if (lane_index == 0) {
     for (std::size_t p = 0; p < slot.count; ++p) {
-      auto& ids = slot.local_ids[lane_index * options_.batch_size + p];
+      auto& ids = slot.local_ids[p];
       ids.clear();
       lane.store->match_active_unsorted(slot.pubs[p], ids);
     }
@@ -101,8 +94,7 @@ void PublishPipeline::match_lane(Slot& slot, std::size_t lane_index) {
   // and the minimum matching id (the destination sort key). The skip flag
   // implements never-send-back at the stage boundary: the origin's own
   // lane is not even stabbed.
-  const std::size_t base =
-      (lane_index - local_lane_count_) * options_.batch_size;
+  const std::size_t base = (lane_index - 1) * options_.batch_size;
   auto& scratch = lane_scratch_[lane_index];
   for (std::size_t p = 0; p < slot.count; ++p) {
     SubscriptionId min_id = core::kInvalidSubscriptionId;
@@ -128,24 +120,18 @@ void PublishPipeline::match_slot_for_worker(Slot& slot, std::size_t worker) {
 
 void PublishPipeline::route_slot(const Slot& slot,
                                  Broker::PublicationRoute* out) {
-  const std::size_t neighbor_lanes = lanes_.size() - local_lane_count_;
   for (std::size_t p = 0; p < slot.count; ++p) {
     Broker::PublicationRoute& route = out[p];
-    route.local_matches.clear();
-    for (std::size_t l = 0; l < local_lane_count_; ++l) {
-      const auto& ids = slot.local_ids[l * options_.batch_size + p];
-      route.local_matches.insert(route.local_matches.end(), ids.begin(),
-                                 ids.end());
-    }
+    route.local_matches.assign(slot.local_ids[p].begin(),
+                               slot.local_ids[p].end());
     // Never-send-back was already applied via LaneRef::skip: the origin's
     // lane reports no match.
     dest_scratch_.clear();
-    for (std::size_t n = 0; n < neighbor_lanes; ++n) {
+    for (std::size_t l = 1; l < lanes_.size(); ++l) {
       const SubscriptionId min_id =
-          slot.neighbor_min[n * options_.batch_size + p];
+          slot.neighbor_min[(l - 1) * options_.batch_size + p];
       if (min_id == core::kInvalidSubscriptionId) continue;
-      dest_scratch_.emplace_back(min_id,
-                                 lanes_[local_lane_count_ + n].neighbor);
+      dest_scratch_.emplace_back(min_id, lanes_[l].neighbor);
     }
     Broker::assemble_route(route, sort_scratch_, dest_scratch_);
   }
@@ -163,9 +149,9 @@ void PublishPipeline::run(const Broker& broker,
   const std::size_t batches = (pubs.size() + batch - 1) / batch;
 
   if (worker_count_ == 0) {
-    // Inline staging: decode (caller-side, run_encoded only) → match →
-    // route collapse onto this thread, one slot at a time. The pipeline
-    // win here is batching + the lane route stage, not parallelism.
+    // Inline staging: match → route collapse onto this thread, one slot
+    // at a time. The pipeline win here is batching + the lane route
+    // stage, not parallelism.
     Slot& slot = slots_[0];
     for (std::size_t b = 0; b < batches; ++b) {
       const std::size_t base = b * batch;
@@ -205,55 +191,6 @@ void PublishPipeline::run(const Broker& broker,
     route_slot(slots_[expect], out.data() + completed * batch);
     ++completed;
   }
-}
-
-void PublishPipeline::run_encoded(
-    const Broker& broker, std::span<const std::vector<std::uint8_t>> frames,
-    const Origin& origin, std::vector<std::vector<std::uint8_t>>& encoded_out) {
-  // Decode stage: frames → publications. Runs on the submit side; with
-  // workers attached, decoding batch k overlaps the match stage of the
-  // batches already in flight (run() below pulls from decoded_ storage).
-  decoded_pubs_.resize(frames.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    wire::ByteReader in(frames[i]);
-    decoded_pubs_[i] = wire::read_publication(in);
-    if (!in.at_end()) {
-      throw wire::DecodeError(
-          "PublishPipeline: trailing bytes after publication frame");
-    }
-  }
-  run(broker, decoded_pubs_, origin, routes_scratch_);
-
-  // Encode stage: routes → frames.
-  encoded_out.resize(routes_scratch_.size());
-  for (std::size_t i = 0; i < routes_scratch_.size(); ++i) {
-    wire::ByteWriter out;
-    encode_route(routes_scratch_[i], out);
-    encoded_out[i] = out.take();
-  }
-}
-
-void PublishPipeline::encode_route(const Broker::PublicationRoute& route,
-                                   wire::ByteWriter& out) {
-  out.varint(route.local_matches.size());
-  for (const SubscriptionId id : route.local_matches) out.varint(id);
-  out.varint(route.destinations.size());
-  for (const BrokerId dest : route.destinations) out.varint(dest);
-}
-
-Broker::PublicationRoute PublishPipeline::decode_route(wire::ByteReader& in) {
-  Broker::PublicationRoute route;
-  const std::uint64_t locals = in.varint();
-  route.local_matches.reserve(locals);
-  for (std::uint64_t i = 0; i < locals; ++i) {
-    route.local_matches.push_back(in.varint());
-  }
-  const std::uint64_t dests = in.varint();
-  route.destinations.reserve(dests);
-  for (std::uint64_t i = 0; i < dests; ++i) {
-    route.destinations.push_back(static_cast<BrokerId>(in.varint()));
-  }
-  return route;
 }
 
 }  // namespace psc::routing

@@ -1,28 +1,24 @@
 // PublishPipeline — the broker's staged batch publish runtime.
 //
 // Every Broker keeps its routed set as origin-partitioned publish lanes
-// (Broker::PublishLanes): the local lane (sharded) and one lane per
-// neighbour. Broker::handle_publication stabs the lanes for one
-// publication on the caller's thread; the pipeline does the same work for
-// a batch, split into stages:
+// (Broker::PublishLanes): the local lane and one lane per neighbour.
+// Broker::handle_publication stabs the lanes for one publication on the
+// caller's thread; the pipeline does the same work for a batch, split
+// into stages:
 //
-//             ┌ decode ┐   ┌─ match ─┐   ┌ route ┐   ┌ encode ┐
-//   frames ──▶│ caller │──▶│ workers │──▶│ caller│──▶│ caller │──▶ routes
-//             └────────┘   └─────────┘   └───────┘   └────────┘
-//                 ▲   slot ring (SPSC) ▲   ▲ completion ring (SPSC)
+//                       ┌─ match ─┐   ┌ route ┐
+//   publications ──────▶│ workers │──▶│ caller│──▶ routes
+//                       └─────────┘   └───────┘
+//        slot ring (SPSC) ▲           ▲ completion ring (SPSC)
 //
-//   * decode: wire frames → publications (run_encoded only; run() takes
-//     decoded publications). Runs on the submit side of the slot ring, so
-//     it overlaps with the match stage of earlier slots.
-//   * match: each worker owns a fixed subset of lanes (local-lane shards +
-//     neighbour lanes, round-robin) and stabs its lanes for every
+//   * match: each worker owns a fixed subset of lanes (the local lane and
+//     the neighbour lanes, round-robin) and stabs its lanes for every
 //     publication of the slot. Because a lane is touched by exactly one
 //     worker, per-store query scratch needs no locks.
-//   * route: the caller merges the local-lane matches and hands them, with
-//     each neighbour lane's minimum matching id, to Broker::assemble_route
-//     — the one place the route-ordering rule lives, shared with
+//   * route: the caller hands the local lane's matches, with each
+//     neighbour lane's minimum matching id, to Broker::assemble_route —
+//     the one place the route-ordering rule lives, shared with
 //     handle_publication.
-//   * encode: routes → wire frames (run_encoded only).
 //
 // Cross-publication batching: publications move through the stages in
 // slots of `batch_size`, with up to `queue_depth` slots in flight. Slot
@@ -33,10 +29,10 @@
 // a flat-scan reference, including under TSan): for every publication, the
 // produced PublicationRoute is decision-for-decision identical — same
 // local_matches, same destinations, same ORDER — to
-// Broker::handle_publication, for every worker count, queue depth, batch
-// size, and local-lane shard count. Matching never mutates routing state,
-// so pipelined batches interleave with membership events exactly like
-// single-publication calls (tests/pipeline_churn_test.cpp).
+// Broker::handle_publication, for every worker count, queue depth and
+// batch size. Matching never mutates routing state, so pipelined batches
+// interleave with membership events exactly like single-publication calls
+// (tests/pipeline_churn_test.cpp).
 //
 // Worker sizing: `workers == 0` runs every stage inline on the caller
 // thread — the configuration a one-core host gets from kAuto, where the
@@ -58,7 +54,6 @@
 #include "exec/pipeline.hpp"
 #include "exec/ring_queue.hpp"
 #include "routing/broker.hpp"
-#include "wire/byte_buffer.hpp"
 
 namespace psc::routing {
 
@@ -101,26 +96,12 @@ class PublishPipeline {
   void run(const Broker& broker, std::span<const core::Publication> pubs,
            const Origin& origin, std::vector<Broker::PublicationRoute>& out);
 
-  /// Wire-framed form: each element of `frames` is one encoded
-  /// publication (wire::write_publication); the decode stage parses it,
-  /// the encode stage serializes each resulting route (encode_route).
-  /// Throws wire::DecodeError on a malformed frame.
-  void run_encoded(const Broker& broker,
-                   std::span<const std::vector<std::uint8_t>> frames,
-                   const Origin& origin,
-                   std::vector<std::vector<std::uint8_t>>& encoded_out);
-
-  /// Route frame codec used by the encode stage (varint counts + ids).
-  static void encode_route(const Broker::PublicationRoute& route,
-                           wire::ByteWriter& out);
-  [[nodiscard]] static Broker::PublicationRoute decode_route(
-      wire::ByteReader& in);
-
  private:
-  /// One lane of the current job: a local-lane shard or a neighbour lane.
+  /// One lane of the current job: lanes_[0] is the local lane, the rest
+  /// are neighbour lanes.
   struct LaneRef {
     const store::SubscriptionStore* store = nullptr;
-    BrokerId neighbor = kInvalidBroker;  ///< kInvalidBroker: local shard
+    BrokerId neighbor = kInvalidBroker;  ///< kInvalidBroker: local lane
     bool skip = false;  ///< origin's own lane — never stabbed (never-send-back)
   };
 
@@ -130,14 +111,11 @@ class PublishPipeline {
   struct Slot {
     const core::Publication* pubs = nullptr;
     std::size_t count = 0;
-    /// Matched ids per (local shard, publication), unsorted:
-    /// local_ids[shard * batch_size + p].
+    /// Local-lane matched ids per publication, unsorted.
     std::vector<std::vector<core::SubscriptionId>> local_ids;
     /// Minimum matching id per (neighbour lane, publication);
     /// kInvalidSubscriptionId = no match.
     std::vector<core::SubscriptionId> neighbor_min;
-    /// Decoded-publication storage for run_encoded.
-    std::vector<core::Publication> decoded;
   };
 
   void prepare_job(const Broker& broker, const Origin& origin);
@@ -153,7 +131,6 @@ class PublishPipeline {
   // Job description for the current run. Written before the first slot
   // token is pushed; runs are serialized, so workers only ever read it.
   std::vector<LaneRef> lanes_;
-  std::size_t local_lane_count_ = 0;
 
   std::vector<Slot> slots_;
   /// Per-lane stab scratch for neighbour lanes (owner-worker access only).
@@ -169,9 +146,6 @@ class PublishPipeline {
   std::vector<core::SubscriptionId> sort_scratch_;
   /// Destination ordering scratch: (min matching id, neighbour).
   std::vector<std::pair<core::SubscriptionId, BrokerId>> dest_scratch_;
-  /// run_encoded storage: decoded publications and their routes.
-  std::vector<core::Publication> decoded_pubs_;
-  std::vector<Broker::PublicationRoute> routes_scratch_;
 };
 
 }  // namespace psc::routing

@@ -97,9 +97,10 @@ struct StoreConfig {
 /// Thread-safety: externally single-threaded. Mutations must be
 /// serialized, and the const query methods (match, match_active) mutate
 /// internal scratch/epoch state, so two queries must not run concurrently
-/// on one instance either. For parallelism, partition ids across
-/// instances — that is exactly what exec::ShardedStore does, and it is
-/// the only supported concurrency model for this type.
+/// on one instance either. For parallelism, give each thread its own
+/// instances — the publish pipeline's workers each own whole lanes
+/// (routing/publish_pipeline.hpp); that is the only supported concurrency
+/// model for this type.
 ///
 /// Determinism: all decisions are a pure function of (config, seed,
 /// call sequence); the engine's RNG stream advances only on group checks,
@@ -147,7 +148,7 @@ class SubscriptionStore {
       const core::Publication& pub) const;
 
   /// Out-parameter form: APPENDS the same ids to `out` (existing contents
-  /// are kept, so shard merges can share one buffer). With a warm
+  /// are kept, so several stores' matches can share one buffer). With a warm
   /// caller-owned buffer a steady-state call performs zero heap
   /// allocations — the publish path's contract, pinned by
   /// tests/publish_alloc_test.cpp.
@@ -164,8 +165,8 @@ class SubscriptionStore {
   void match_active(const core::Publication& pub,
                     std::vector<core::SubscriptionId>& out) const;
 
-  /// Raw form for callers that order downstream (the staged publish
-  /// pipeline radix-sorts the union of several stores' matches once):
+  /// Raw form for callers that order downstream (Broker::assemble_route
+  /// radix-sorts the local lane's matches once):
   /// appends the same id SET as match_active but in an UNSPECIFIED order
   /// (index emission order, or flat slot order). Same arity and
   /// concurrency contract as match().

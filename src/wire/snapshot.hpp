@@ -34,8 +34,10 @@ namespace psc::wire {
 /// other two). v3 appends the reliable-link config (NetworkConfig::link)
 /// to the network-config block; v4 adds EngineConfig::exact_residue after
 /// prefilter_intersecting, so a restored network keeps the engine's
-/// decision procedure and with it the RNG stream.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+/// decision procedure and with it the RNG stream; v5 drops the
+/// local-lane shard count that followed the seed (every broker now has
+/// exactly one local lane).
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Frame magics ("PSCB" / "PSCN" little-endian).
 inline constexpr std::uint32_t kBrokerSnapshotMagic = 0x42435350U;

@@ -164,8 +164,7 @@ TEST(PipelineChurn, BatchesInterleavedWithCrashAndPartition) {
 
 TEST(PipelineChurn, RestorePreservesRuntimePipelineKnobs) {
   // snapshot_all does not serialize runtime knobs; restore_all must keep
-  // the restoring network's pipelined configuration (and rebuild lanes),
-  // mirroring how match_shards is handled.
+  // the restoring network's pipelined configuration (and rebuild lanes).
   BrokerNetwork piped = BrokerNetwork::figure1_topology(pipelined_config());
   load_subscriptions(piped, 300);
   const auto image = piped.snapshot_all();

@@ -1,9 +1,9 @@
 // Property tests for the staged publish pipeline
 // (routing/publish_pipeline.hpp): decision-for-decision equality with a
 // flat-scan reference (tests/route_reference.hpp) across the full knob grid
-// (worker count × batch size × queue depth × lane shard count × origin),
-// equality across routing-table mutations (the lanes track the table), the
-// route frame codec, and the zero-allocation inline steady state. This file is
+// (worker count × batch size × queue depth × origin), equality across
+// routing-table mutations (the lanes track the table), and the
+// zero-allocation inline steady state. This file is
 // in the TSan label set: the threaded grid cells drive the slot rings
 // cross-thread exactly as production does.
 #include <gtest/gtest.h>
@@ -15,8 +15,6 @@
 #include "routing/broker.hpp"
 #include "routing/publish_pipeline.hpp"
 #include "route_reference.hpp"
-#include "wire/byte_buffer.hpp"
-#include "wire/codec.hpp"
 #include "workload/comparison_stream.hpp"
 #include "workload/publications.hpp"
 
@@ -37,8 +35,8 @@ struct Fixture {
   std::vector<Publication> pubs;
 
   explicit Fixture(std::size_t actives, std::size_t probe_count,
-                   std::size_t match_shards = 1, std::uint64_t seed = 2006)
-      : broker(0, store::StoreConfig{}, 2006, match_shards) {
+                   std::uint64_t seed = 2006)
+      : broker(0, store::StoreConfig{}, 2006) {
     broker.add_neighbor(1);
     broker.add_neighbor(2);
     workload::ComparisonConfig stream_config;
@@ -124,22 +122,19 @@ TEST(PublishPipeline, AutoWorkersResolveFromHardware) {
 TEST(PublishPipeline, DecisionEqualAcrossKnobGrid) {
   // The determinism contract, exhaustively: every knob combination must
   // reproduce the reference decision for decision, in order.
-  for (const std::size_t local_shards : {1UL, 4UL}) {
-    Fixture fx(1200, 24, local_shards);
-    for (const std::size_t workers : {0UL, 1UL, 3UL}) {
-      for (const std::size_t batch : {1UL, 3UL, 16UL}) {
-        for (const std::size_t depth : {1UL, 4UL}) {
-          PublishPipelineOptions options;
-          options.workers = workers;
-          options.batch_size = batch;
-          options.queue_depth = depth;
-          PublishPipeline pipeline(options);
-          expect_equal_decisions(
-              pipeline, fx.broker, fx.reference, fx.pubs,
-              "shards=" + std::to_string(local_shards) + " workers=" +
-                  std::to_string(workers) + " batch=" + std::to_string(batch) +
-                  " depth=" + std::to_string(depth));
-        }
+  Fixture fx(1200, 24);
+  for (const std::size_t workers : {0UL, 1UL, 3UL}) {
+    for (const std::size_t batch : {1UL, 3UL, 16UL}) {
+      for (const std::size_t depth : {1UL, 4UL}) {
+        PublishPipelineOptions options;
+        options.workers = workers;
+        options.batch_size = batch;
+        options.queue_depth = depth;
+        PublishPipeline pipeline(options);
+        expect_equal_decisions(pipeline, fx.broker, fx.reference, fx.pubs,
+                               "workers=" + std::to_string(workers) +
+                                   " batch=" + std::to_string(batch) +
+                                   " depth=" + std::to_string(depth));
       }
     }
   }
@@ -148,7 +143,7 @@ TEST(PublishPipeline, DecisionEqualAcrossKnobGrid) {
 TEST(PublishPipeline, DecisionEqualAcrossTableMutations) {
   // The lanes must track unsubscription and expiry; equality is
   // re-checked after each mutation wave through one reused pipeline.
-  Fixture fx(800, 16, /*match_shards=*/2);
+  Fixture fx(800, 16);
   PublishPipelineOptions options;
   options.workers = 2;
   options.batch_size = 4;
@@ -201,56 +196,12 @@ TEST(PublishPipeline, LanesRebuiltFromSnapshotMatchReference) {
                          "restored");
 }
 
-TEST(PublishPipeline, RouteFrameCodecRoundTrips) {
-  Broker::PublicationRoute route;
-  route.local_matches = {1, 5, 42, 1ULL << 40};
-  route.destinations = {2, 7};
-  wire::ByteWriter out;
-  PublishPipeline::encode_route(route, out);
-  const std::vector<std::uint8_t> frame = out.take();
-  wire::ByteReader in(frame);
-  const Broker::PublicationRoute decoded = PublishPipeline::decode_route(in);
-  EXPECT_TRUE(in.at_end());
-  EXPECT_EQ(decoded.local_matches, route.local_matches);
-  EXPECT_EQ(decoded.destinations, route.destinations);
-}
-
-TEST(PublishPipeline, RunEncodedMatchesRunThroughWireFrames) {
-  Fixture fx(600, 12);
-  PublishPipeline pipeline;
-  std::vector<std::vector<std::uint8_t>> frames;
-  for (const Publication& pub : fx.pubs) {
-    wire::ByteWriter out;
-    wire::write_publication(out, pub);
-    frames.push_back(out.take());
-  }
-  const Origin origin{true, kInvalidBroker};
-  std::vector<std::vector<std::uint8_t>> encoded;
-  pipeline.run_encoded(fx.broker, frames, origin, encoded);
-  ASSERT_EQ(encoded.size(), fx.pubs.size());
-
-  std::vector<Broker::PublicationRoute> routes;
-  pipeline.run(fx.broker, fx.pubs, origin, routes);
-  for (std::size_t p = 0; p < fx.pubs.size(); ++p) {
-    wire::ByteReader in(encoded[p]);
-    const Broker::PublicationRoute decoded = PublishPipeline::decode_route(in);
-    EXPECT_TRUE(in.at_end());
-    EXPECT_EQ(decoded.local_matches, routes[p].local_matches) << p;
-    EXPECT_EQ(decoded.destinations, routes[p].destinations) << p;
-  }
-
-  // Malformed frame: trailing garbage must throw, not route.
-  frames[0].push_back(0xff);
-  EXPECT_THROW(pipeline.run_encoded(fx.broker, frames, origin, encoded),
-               wire::DecodeError);
-}
-
 TEST(PublishPipeline, InlineSteadyStateDoesNotAllocate) {
   // Inline mode (workers = 0, the one-core default): after a warm-up run
   // over the same batch, the match + route stages must be allocation-free
   // — slot buffers, lane scratch, radix scratch, and the caller's route
   // vectors are all reused.
-  Fixture fx(2000, 32, /*match_shards=*/2);
+  Fixture fx(2000, 32);
   PublishPipelineOptions options;
   options.workers = 0;
   options.batch_size = 8;

@@ -1,7 +1,7 @@
 // Pins the allocation-free publish pipeline: once warm, a steady-state
 // publication performs ZERO heap allocations through every layer —
-// IntervalIndex::stab into a reused buffer, the SubscriptionStore /
-// ShardedStore out-parameter match overloads, and
+// IntervalIndex::stab into a reused buffer, the SubscriptionStore
+// out-parameter match overloads, and
 // Broker::handle_publication over the publish lanes with caller-owned
 // PublishScratch.
 //
@@ -76,11 +76,11 @@ TEST(PublishAlloc, StoreMatchOutParamsSteadyStateDoNotAllocate) {
 }
 
 TEST(PublishAlloc, BrokerPublishWithScratchSteadyStateDoesNotAllocate) {
-  // A broker with two neighbour links and a sharded local lane: the full
-  // publication path — local-lane shard stabs, neighbour-lane stabs, the
-  // route sort and destination ordering — through caller-owned scratch.
+  // A broker with two neighbour links: the full publication path —
+  // local-lane stab, neighbour-lane stabs, the route sort and destination
+  // ordering — through caller-owned scratch.
   store::StoreConfig store_config;  // default kGroup + index
-  routing::Broker broker(0, store_config, 1234, /*match_shards=*/2);
+  routing::Broker broker(0, store_config, 1234);
   broker.add_neighbor(1);
   broker.add_neighbor(2);
 
@@ -131,7 +131,7 @@ TEST(PublishAlloc, ScratchRouteMatchesFlatScan) {
   // the routed (subscription, origin) pairs produces, publication for
   // publication.
   store::StoreConfig store_config;
-  routing::Broker broker(7, store_config, 77, /*match_shards=*/3);
+  routing::Broker broker(7, store_config, 77);
   broker.add_neighbor(3);
   routing::RouteReference reference;
   workload::ComparisonConfig stream_config;

@@ -13,12 +13,20 @@
 // EOF-triggered purge (the fail_link repair semantics) must quiesce before
 // traffic resumes, and the oracle mirrors the crash — zero divergence,
 // zero ghost deliveries from the dead component.
+//
+// psc_brokerd's option parser is tested here too: a bad flag value must
+// stop the process with a message, never wrap into a different broker.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "net/broker_node.hpp"
 #include "net/cluster.hpp"
 #include "net/cluster_driver.hpp"
 #include "routing/broker_network.hpp"
@@ -198,6 +206,64 @@ TEST(TcpTransportTest, KillLeafPurgesItsSubscriptionsEverywhere) {
   // ghost route makes broker 1 forward into the void.
   EXPECT_EQ(delivered, (std::vector<core::SubscriptionId>{2}));
   cluster.shutdown();
+}
+
+net::BrokerNodeOptions parse_brokerd(const std::vector<std::string>& args) {
+  std::vector<const char*> argv{"psc_brokerd"};
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  return net::parse_brokerd_options(static_cast<int>(argv.size()),
+                                    argv.data());
+}
+
+TEST(BrokerdOptions, OutOfRangeOrMalformedValuesThrow) {
+  for (const char* bad :
+       {"--ports=70000", "--ports=1,65536", "--ports=-1", "--id=-1",
+        "--id=4294967295", "--id=4294967296", "--id=", "--id=7x",
+        "--neighbors=4294967296", "--neighbors=1,-2", "--neighbors=2,x",
+        "--listen-fd=-2", "--listen-fd=2147483648", "--seed=-1",
+        "--seed=18446744073709551616"}) {
+    EXPECT_THROW((void)parse_brokerd({bad}), std::invalid_argument) << bad;
+  }
+}
+
+TEST(BrokerdOptions, InRangeValuesParseUnchanged) {
+  const net::BrokerNodeOptions options = parse_brokerd(
+      {"--id=4294967294", "--seed=18446744073709551615", "--listen-fd=7",
+       "--policy=group", "--neighbors=0,,4294967294", "--ports=0,1,65535"});
+  EXPECT_EQ(options.id, 4294967294u);
+  EXPECT_EQ(options.transport.self, 4294967294u);
+  EXPECT_EQ(options.network_seed, 18446744073709551615ULL);
+  EXPECT_EQ(options.transport.listen_fd, 7);
+  EXPECT_EQ(options.store.policy, store::CoveragePolicy::kGroup);
+  EXPECT_EQ(options.transport.neighbors,
+            (std::vector<routing::BrokerId>{0, 4294967294u}));
+  EXPECT_EQ(options.transport.ports,
+            (std::vector<std::uint16_t>{0, 1, 65535}));
+
+  const net::BrokerNodeOptions defaults = parse_brokerd({});
+  EXPECT_EQ(defaults.id, 0u);
+  EXPECT_EQ(defaults.network_seed, net::BrokerNodeOptions{}.network_seed);
+  EXPECT_EQ(defaults.transport.listen_fd, -1);
+  EXPECT_EQ(defaults.store.policy, store::CoveragePolicy::kExact);
+  EXPECT_TRUE(defaults.transport.neighbors.empty());
+  EXPECT_TRUE(defaults.transport.ports.empty());
+}
+
+TEST(BrokerdOptions, BadValueExitsNonZeroNamingIt) {
+  for (const std::string bad : {"--policy=bogus", "--ports=70000"}) {
+    const std::string command = std::string(PSC_BROKERD_BIN) + " " + bad +
+                                " 2>&1";
+    FILE* pipe = ::popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string output;
+    char buffer[256];
+    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) output += buffer;
+    const int status = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << bad;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << bad;
+    const std::string value = bad.substr(bad.find('=') + 1);
+    EXPECT_NE(output.find(value), std::string::npos) << output;
+  }
 }
 
 }  // namespace

@@ -651,7 +651,7 @@ TEST(Snapshot, RestoredBrokerIsDecisionIdentical) {
   const std::uint64_t seed = 0x5eed;
   store::StoreConfig config;  // group policy default: RNG state matters
   config.engine.delta = 0.05;
-  Broker original(3, config, seed, /*match_shards=*/1);
+  Broker original(3, config, seed);
   original.add_neighbor(1);
   original.add_neighbor(2);
   original.add_neighbor(7);
@@ -687,7 +687,7 @@ TEST(Snapshot, RestoredBrokerIsDecisionIdentical) {
 
   // Byte-level snapshot into a fresh same-configured broker.
   const std::vector<std::uint8_t> bytes = original.snapshot();
-  Broker restored(3, config, seed, /*match_shards=*/1);
+  Broker restored(3, config, seed);
   restored.add_neighbor(1);
   restored.add_neighbor(2);
   restored.add_neighbor(7);
